@@ -2051,9 +2051,9 @@ fn e24_pairs(n: usize, count: usize, salt: u64) -> Vec<(u32, u32)> {
 /// window before opening the next (`window == 1` is pure
 /// request–response). Windows are shard-affine — every request in a
 /// window targets the same shard, exactly what the wire server's
-/// affinity dispatch produces — so a window fills a worker batch
-/// instead of scattering partial batches that sit out the flush
-/// deadline. The pending vector and the path buffer are caller-owned
+/// affinity dispatch produces — so a window's requests pile up on one
+/// worker's queue and drain together instead of scattering across
+/// shards. The pending vector and the path buffer are caller-owned
 /// so the measured passes reuse the capacity the warmup passes grew.
 fn e24_client_pass<'e>(
     engine: &'e ShardedNavigator,
@@ -2169,9 +2169,6 @@ fn e24_cell(
         shards,
         workers_per_shard: 1,
         max_batch: batch,
-        // Matched to µs-scale queries: full batches flush immediately,
-        // so the deadline only prices the partial tail of a pair list.
-        batch_deadline: Duration::from_micros(25),
         // Sized so the closed-loop windows never hit admission: the
         // sweep measures throughput, the overload probe measures
         // shedding.
@@ -2228,9 +2225,10 @@ struct E24Overload {
     inline_counter: u64,
 }
 
-/// Fills a 1-shard engine to its admission limit (the long batch
-/// deadline keeps the worker from flushing while the burst lands),
-/// then offers an over-limit burst through the policy-aware front
+/// Fills a 1-shard engine to its admission limit (slots, not queue
+/// occupancy, bound admission: the held `Pending`s keep every slot
+/// taken while the burst lands, however fast the worker drains), then
+/// offers an over-limit burst through the policy-aware front
 /// door: `Strict` must shed every one typed, `BestEffort` must answer
 /// every one inline-degraded with the shed counter staying at zero.
 fn e24_overload_probe(backend: &Arc<ServeBackend>, policy: DegradationPolicy) -> E24Overload {
@@ -2240,7 +2238,6 @@ fn e24_overload_probe(backend: &Arc<ServeBackend>, policy: DegradationPolicy) ->
         shards: 1,
         workers_per_shard: 1,
         max_batch: depth + over,
-        batch_deadline: Duration::from_millis(40),
         queue_depth: depth,
         policy,
         ..ServeConfig::default()
@@ -2499,11 +2496,14 @@ pub fn e24_serve() -> String {
         "Closed-loop load against the `hopspan-serve` engine: {} uniform \
          2D points (backend built once in {} ms, shared across shards), \
          {} clients each replaying {} `FindPath` pairs per pass in \
-         submission windows equal to the batch size. On this single-core \
-         runner the speedup comes from batching amortization — a full \
-         window rides one worker wakeup instead of paying a \
-         submit/wake/deliver cycle per query — not from shard \
-         parallelism. {headline_note}. Shed stays 0 below the admission \
+         submission windows equal to the batch size. On a runner with \
+         one or two cores the speedup comes from batching amortization \
+         — jobs that pile up while a worker is busy ride one wakeup \
+         instead of paying a submit/wake/deliver cycle per query — not \
+         from shard parallelism. The drain is work-conserving: a worker \
+         takes whatever is queued, up to the batch size, so a window \
+         can take more than one wakeup and the mean batch can sit below \
+         the window. {headline_note}. Shed stays 0 below the admission \
          limit in every sweep cell; the overload probe shows `Strict` \
          shedding every over-limit request typed and `BestEffort` \
          answering them all inline-degraded (shed counter 0). \
@@ -2752,7 +2752,6 @@ fn e26_cell(points: &hopspan_metric::EuclideanSpace, cfg: &E26Cfg, down: usize) 
             shards: 4,
             workers_per_shard: 2,
             max_batch: 8,
-            batch_deadline: Duration::from_micros(50),
             queue_depth: 64,
             ..ServeConfig::default()
         },

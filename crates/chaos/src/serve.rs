@@ -106,7 +106,6 @@ fn start_server(
         shards: 1,
         workers_per_shard: 1,
         max_batch: 4,
-        batch_deadline: Duration::from_micros(100),
         queue_depth: 16,
         chaos_panic_period,
         ..ServeConfig::default()

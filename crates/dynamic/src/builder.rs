@@ -18,7 +18,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::epoch::{BuildCut, Epoch, NO_DENSE};
-use crate::{lock_resilient, read_resilient, write_resilient, Inner};
+use crate::{read_resilient, write_resilient, Inner};
+// Same poison policy as the crate root: ledger writes run to completion
+// inside the epoch funnel.
+use hopspan_pipeline::lock_resilient;
 
 /// Pause after a contained rebuild failure before the next attempt, so
 /// a persistently failing build cannot spin the builder thread hot.
@@ -141,9 +144,9 @@ pub(crate) fn run(inner: Arc<Inner>) {
 }
 
 /// `Condvar::wait` that adopts a poisoned ledger mutex instead of
-/// propagating the poison (same policy as the workspace's other
-/// `lock_resilient` helpers: the ledger stays consistent because every
-/// write runs to completion inside the epoch funnel).
+/// propagating the poison (same policy as
+/// `hopspan_pipeline::lock_resilient`: the ledger stays consistent
+/// because every write runs to completion inside the epoch funnel).
 pub(crate) fn wait_resilient<'a>(
     cv: &std::sync::Condvar,
     guard: std::sync::MutexGuard<'a, crate::epoch::Ledger>,

@@ -35,9 +35,12 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use hopspan_core::{MetricNavigator, NavigationError};
+// Adopting poison on the ledger mutex is safe: the ledger is kept
+// consistent by the epoch funnel's complete-write methods.
+use hopspan_pipeline::lock_resilient;
 
 mod builder;
 pub mod epoch;
@@ -537,12 +540,6 @@ fn resolve(view: &Shared, ext: u32) -> Result<usize, NavigationError> {
             }),
         },
     }
-}
-
-/// Acquires the ledger mutex, adopting poison (the ledger is kept
-/// consistent by the epoch funnel's complete-write methods).
-pub(crate) fn lock_resilient<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Acquires the shared state for reading, adopting poison.

@@ -20,6 +20,9 @@
 //! * [`resolve_workers`] / [`auto_workers`] — worker-count selection:
 //!   an explicit request wins, then the `HOPSPAN_WORKERS` environment
 //!   variable, then [`std::thread::available_parallelism`].
+//! * [`lock_resilient`] — the workspace's one poison-adopting mutex
+//!   acquire, shared by this crate, `hopspan-dynamic` and
+//!   `hopspan-serve`.
 //! * [`BuildStats`] — per-phase wall times, per-tree spanner sizes and
 //!   edge-dedup counters, threaded through cover → spanner →
 //!   materialization and printed by the experiment binaries.
@@ -34,7 +37,7 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A contained failure of the parallel pipeline: work unit `unit` (the
@@ -243,13 +246,17 @@ where
         .collect())
 }
 
-/// Acquires a mutex, recovering from poisoning: the protected data is
-/// an index-addressed slot vector that stays consistent even if a
-/// sibling worker panicked while holding the lock. The panicking unit
-/// is attributed by the caller (see `poisoner` in [`try_parallel_map`])
-/// and surfaced through [`PipelineError::poisoned_by`]; this helper
-/// only recovers the guard.
-fn lock_resilient<T: ?Sized>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Acquires a mutex, adopting poison instead of panicking.
+///
+/// Sound only where every write under the lock is panic-atomic, so the
+/// data a dead holder left behind is still coherent; each caller states
+/// why that holds for its lock. In this crate the protected data is an
+/// index-addressed slot vector (or a failure list) that stays
+/// consistent even if a sibling worker panicked while holding the lock.
+/// The panicking unit is attributed by the caller (see `poisoner` in
+/// [`try_parallel_map`]) and surfaced through
+/// [`PipelineError::poisoned_by`]; this helper only recovers the guard.
+pub fn lock_resilient<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 

@@ -1,29 +1,26 @@
-//! Deadline-aware request batching.
+//! Work-conserving request batching.
 //!
 //! A [`BatchQueue`] is a bounded MPMC queue of jobs with a
-//! batch-collecting consumer side: a worker blocks until at least one
-//! job is queued, then keeps accumulating until either the batch is
-//! full or the *oldest* queued job has waited past the flush deadline.
-//! Deadline math uses the monotonic clock exclusively
-//! ([`std::time::Instant`]); `SystemTime` can step backwards under NTP
-//! and must never decide a flush.
+//! batch-collecting consumer side: a worker blocks only while the
+//! queue is empty, then drains whatever is queued, up to `max_batch`
+//! jobs, and runs it. A lone request is never held back waiting for
+//! company; batches form under load because jobs pile up while the
+//! worker is busy with the previous batch.
 //!
 //! The queue's backing `VecDeque` is allocated once at the bound and
 //! never grows (admission is capped by the shard's slot table, which is
 //! the same bound), so pushes and batch drains are allocation-free.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Condvar, Mutex};
+use std::time::Instant;
+
+// Adopting poison is safe here: queue state is a `VecDeque` plus a
+// flag, and every mutation below is panic-atomic, so the contents stay
+// coherent even if a holder died.
+use hopspan_pipeline::lock_resilient;
 
 use crate::Op;
-
-/// Recovers a mutex guard from a poisoned lock: queue state is a
-/// `VecDeque` plus a flag, and every mutation below is
-/// panic-atomic, so the contents stay coherent even if a holder died.
-fn lock_resilient<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// One queued request: which response slot it answers into, what to
 /// do, and when it arrived (monotonic).
@@ -33,8 +30,8 @@ pub(crate) struct Job {
     pub slot: u32,
     /// The request.
     pub op: Op,
-    /// Monotonic enqueue time: drives both the flush deadline and the
-    /// reported latency.
+    /// Monotonic enqueue time: drives the reported latency and the
+    /// overrun check.
     pub enqueued: Instant,
 }
 
@@ -44,7 +41,7 @@ struct QueueState {
     open: bool,
 }
 
-/// A bounded queue of requests with deadline-aware batch draining.
+/// A bounded queue of requests with work-conserving batch draining.
 #[derive(Debug)]
 pub struct BatchQueue {
     pending: Mutex<QueueState>,
@@ -90,58 +87,25 @@ impl BatchQueue {
         self.arrived.notify_all();
     }
 
-    /// Blocks for the next batch and drains it into `out` (cleared
-    /// first): up to `max_batch` jobs, flushing early once the oldest
-    /// queued job has waited `deadline`. Returns `false` when the
-    /// queue is closed and fully drained — the worker should exit.
-    pub(crate) fn next_batch(
-        &self,
-        max_batch: usize,
-        deadline: Duration,
-        out: &mut Vec<Job>,
-    ) -> bool {
+    /// Blocks while the queue is empty, then drains up to `max_batch`
+    /// queued jobs into `out` (cleared first) without waiting for more.
+    /// Returns `false` when the queue is closed and fully drained — the
+    /// worker should exit. A `true` return carries at least one job,
+    /// since config validation keeps `max_batch ≥ 1`.
+    pub(crate) fn next_batch(&self, max_batch: usize, out: &mut Vec<Job>) -> bool {
         out.clear();
         let mut st = lock_resilient(&self.pending);
-        loop {
-            if st.jobs.len() >= max_batch {
-                break;
+        while st.jobs.is_empty() {
+            if !st.open {
+                return false;
             }
-            match st.jobs.front() {
-                None => {
-                    if !st.open {
-                        return false;
-                    }
-                    st = self
-                        .arrived
-                        .wait(st)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                Some(oldest) => {
-                    // Saturating deadline math: a job enqueued with an
-                    // already-expired deadline (age ≥ deadline, or an
-                    // `enqueued` stamp far in the past) must flush
-                    // immediately — never underflow into a panic or a
-                    // huge wait.
-                    let remaining = deadline
-                        .checked_sub(oldest.enqueued.elapsed())
-                        .unwrap_or(Duration::ZERO);
-                    if remaining.is_zero() || !st.open {
-                        break;
-                    }
-                    let (guard, _timeout) = self
-                        .arrived
-                        .wait_timeout(st, remaining)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    st = guard;
-                }
-            }
+            st = self
+                .arrived
+                .wait(st)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-        for _ in 0..max_batch {
-            match st.jobs.pop_front() {
-                Some(j) => out.push(j),
-                None => break,
-            }
-        }
+        let take = st.jobs.len().min(max_batch);
+        out.extend(st.jobs.drain(..take));
         true
     }
 }
@@ -149,6 +113,7 @@ impl BatchQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn job(slot: u32) -> Job {
         Job {
@@ -159,56 +124,54 @@ mod tests {
     }
 
     #[test]
-    fn full_batch_flushes_without_waiting_for_the_deadline() {
+    fn full_batch_flushes_without_waiting() {
         let q = BatchQueue::bounded(8);
         for s in 0..4 {
             assert!(q.push(job(s)));
         }
         let mut out = Vec::new();
         let t0 = Instant::now();
-        assert!(q.next_batch(4, Duration::from_secs(5), &mut out));
+        assert!(q.next_batch(4, &mut out));
         assert_eq!(out.len(), 4);
         assert!(
             t0.elapsed() < Duration::from_secs(1),
-            "a full batch must not sit out the deadline"
+            "a full batch must flush at once"
         );
     }
 
     #[test]
-    fn deadline_flushes_a_partial_batch() {
+    fn a_lone_job_is_drained_without_waiting() {
+        // The batch is far from full (1 of 64): a work-conserving drain
+        // still hands the job over at once instead of holding it for
+        // company.
         let q = BatchQueue::bounded(8);
         assert!(q.push(job(0)));
         let mut out = Vec::new();
-        assert!(q.next_batch(64, Duration::from_millis(20), &mut out));
-        assert_eq!(out.len(), 1, "the deadline must flush a partial batch");
+        let t0 = Instant::now();
+        assert!(q.next_batch(64, &mut out));
+        assert_eq!(out.len(), 1);
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "a lone job must not wait for a batch to fill"
+        );
     }
 
     #[test]
-    fn a_deadline_already_in_the_past_flushes_instead_of_panicking() {
-        // A job stamped long before `next_batch` runs (e.g. a worker
-        // that fell behind by seconds) has age ≫ deadline; the drain
-        // must flush it immediately through the saturating path.
-        let Some(stale) = Instant::now().checked_sub(Duration::from_secs(10)) else {
-            return; // platform clock too young to back-date; nothing to pin
-        };
-        let q = BatchQueue::bounded(8);
-        assert!(q.push(Job {
-            slot: 0,
-            op: Op::Stats,
-            enqueued: stale,
-        }));
+    fn a_backlog_drains_fifo_in_max_batch_chunks() {
+        let q = BatchQueue::bounded(32);
+        for s in 0..20 {
+            assert!(q.push(job(s)));
+        }
         let mut out = Vec::new();
-        let t0 = Instant::now();
-        assert!(q.next_batch(64, Duration::from_millis(1), &mut out));
-        assert_eq!(out.len(), 1, "an expired deadline must flush, not wait");
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "the expired-deadline flush must be immediate"
-        );
-        // Zero-duration deadline on a fresh job: same saturating path.
-        assert!(q.push(job(1)));
-        assert!(q.next_batch(64, Duration::ZERO, &mut out));
-        assert_eq!(out.len(), 1);
+        let mut next_slot = 0u32;
+        for want in [8, 8, 4] {
+            assert!(q.next_batch(8, &mut out));
+            let slots: Vec<u32> = out.iter().map(|j| j.slot).collect();
+            let expect: Vec<u32> = (next_slot..next_slot + want).collect();
+            assert_eq!(slots, expect, "drains are FIFO, max_batch at a time");
+            next_slot += want;
+        }
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
@@ -218,8 +181,8 @@ mod tests {
         q.close();
         assert!(!q.push(job(1)), "a closed queue admits nothing");
         let mut out = Vec::new();
-        assert!(q.next_batch(4, Duration::from_secs(5), &mut out));
+        assert!(q.next_batch(4, &mut out));
         assert_eq!(out.len(), 1, "the backlog drains before exit");
-        assert!(!q.next_batch(4, Duration::from_secs(5), &mut out));
+        assert!(!q.next_batch(4, &mut out));
     }
 }

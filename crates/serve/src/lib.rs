@@ -14,12 +14,13 @@
 //!   steady-state request cycle performs **zero heap allocations**
 //!   (verified by the counting-allocator test in
 //!   `tests/serve_allocs.rs`).
-//! * [`BatchQueue`] — deadline-aware request batching: a worker flushes
-//!   when a batch fills or when the oldest queued request crosses the
-//!   time budget, measured on the monotonic clock
-//!   ([`std::time::Instant`]; wall-clock time can step backwards and
-//!   must never enter deadline math). Queue depth is bounded by the
-//!   per-shard slot table; admission beyond it is *typed*:
+//! * [`BatchQueue`] — work-conserving request batching: a worker
+//!   blocks only while its queue is empty, then drains whatever is
+//!   queued (up to `max_batch` jobs) and runs it, so a lone request is
+//!   never held back waiting for company. Batches form under load,
+//!   from jobs that pile up while the worker runs the previous batch.
+//!   Queue depth is bounded by the per-shard slot table; admission
+//!   beyond it is *typed*:
 //!   [`ServeError::Overloaded`] under
 //!   [`hopspan_core::DegradationPolicy::Strict`], a best-effort
 //!   degraded inline answer under

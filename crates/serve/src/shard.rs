@@ -49,7 +49,7 @@ use std::mem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -59,6 +59,9 @@ use hopspan_core::{
 };
 use hopspan_dynamic::{DynConfig, DynError, DynamicNavigator};
 use hopspan_metric::{EuclideanSpace, Metric};
+// Adopting poison is safe here: state under every lock in this module
+// is written panic-atomically, so a poisoned guard is safe to adopt.
+use hopspan_pipeline::lock_resilient;
 use hopspan_routing::{MetricRoutingScheme, NavBuildError, RouteTrace, RoutingError};
 use hopspan_store as store;
 use rand::rngs::Pcg32;
@@ -69,13 +72,6 @@ use crate::batch::{BatchQueue, Job};
 use crate::health::{HealthCell, HealthPolicy, ShardHealth};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::{DegradeCode, Op, QueryOutcome, ServeError};
-
-/// Recovers a mutex guard from a poisoned lock: state under every lock
-/// here is written panic-atomically, so a poisoned guard is safe to
-/// adopt.
-fn lock_resilient<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Seed-stable shard affinity: FNV-1a over the point id's
 /// little-endian bytes, reduced mod `shards`. Identical in every
@@ -501,11 +497,10 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Worker threads per shard.
     pub workers_per_shard: usize,
-    /// Maximum jobs a worker executes per batch flush.
+    /// Maximum jobs a worker drains per batch. Draining is
+    /// work-conserving: a worker takes whatever is queued, up to this
+    /// many, and never waits for a batch to fill.
     pub max_batch: usize,
-    /// Maximum time the oldest queued request waits before a partial
-    /// batch flushes (monotonic clock).
-    pub batch_deadline: Duration,
     /// Response slots per shard — the admission limit.
     pub queue_depth: usize,
     /// What happens past the admission limit, and how over-budget
@@ -548,7 +543,6 @@ impl Default for ServeConfig {
             shards: 1,
             workers_per_shard: 1,
             max_batch: 16,
-            batch_deadline: Duration::from_micros(200),
             queue_depth: 256,
             policy: DegradationPolicy::Strict,
             chaos_panic_period: None,
@@ -1440,13 +1434,7 @@ fn worker_loop(
 ) {
     let mut scratch = Scratch::new();
     let mut batch: Vec<Job> = Vec::with_capacity(cfg.max_batch);
-    while shard
-        .queue
-        .next_batch(cfg.max_batch, cfg.batch_deadline, &mut batch)
-    {
-        if batch.is_empty() {
-            continue;
-        }
+    while shard.queue.next_batch(cfg.max_batch, &mut batch) {
         ServeMetrics::bump(&metrics.batches);
         ServeMetrics::add(&metrics.batched_jobs, batch.len() as u64);
         // One backend handle per flush: the supervisor may swap a

@@ -70,7 +70,6 @@ fn failover_serving_does_not_allocate() {
             shards: 4,
             workers_per_shard: 1,
             max_batch: 8,
-            batch_deadline: Duration::from_micros(50),
             queue_depth: 8,
             ..ServeConfig::default()
         },

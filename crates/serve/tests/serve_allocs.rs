@@ -10,7 +10,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use hopspan_metric::gen;
 use hopspan_serve::{BackendParams, FaultSet, Op, ServeConfig, ShardedNavigator};
@@ -77,7 +76,6 @@ fn steady_state_serving_does_not_allocate() {
             shards: 2,
             workers_per_shard: 1,
             max_batch: 8,
-            batch_deadline: Duration::from_micros(50),
             queue_depth: 8,
             ..ServeConfig::default()
         },

@@ -64,7 +64,6 @@ fn batched_answers_match_direct_kernel_answers() {
             shards: 3,
             workers_per_shard: 2,
             max_batch: 4,
-            batch_deadline: Duration::from_micros(100),
             queue_depth: 16,
             ..ServeConfig::default()
         },
@@ -145,8 +144,9 @@ fn strict_overload_sheds_typed() {
         shards: 1,
         queue_depth: 4,
         max_batch: 4,
-        // A long deadline so queued jobs sit while we probe admission.
-        batch_deadline: Duration::from_millis(200),
+        // Slots, not queue occupancy, bound admission: an admitted
+        // job keeps its slot until its `Pending` is waited on, so the
+        // worker draining the queue frees nothing during the burst.
         policy: DegradationPolicy::Strict,
         ..ServeConfig::default()
     });
@@ -181,7 +181,9 @@ fn best_effort_overload_degrades_inline() {
         shards: 1,
         queue_depth: 1,
         max_batch: 1,
-        batch_deadline: Duration::from_millis(100),
+        // Slots, not queue occupancy, bound admission: `held` keeps
+        // the only slot until it is waited on, even once the worker
+        // has answered it.
         policy: DegradationPolicy::BestEffort,
         ..ServeConfig::default()
     });
@@ -205,7 +207,7 @@ fn best_effort_overload_degrades_inline() {
                 saw_inline = true;
                 break;
             }
-            Ok(_) => {} // the held slot may have been freed by the worker already
+            Ok(_) => {} // not expected while `held` pins the only slot
             Err(e) => panic!("BestEffort must not error on overload: {e}"),
         }
     }

@@ -13,7 +13,6 @@
 //! `HOPSPAN_WORKERS ∈ {1, 4, 16}`.
 
 use std::process::Command;
-use std::time::Duration;
 
 use hopspan::metric::gen;
 use hopspan::serve::{
@@ -47,7 +46,6 @@ fn serialize_outcomes() -> String {
                 shards: 4,
                 workers_per_shard: 2,
                 max_batch: 8,
-                batch_deadline: Duration::from_micros(50),
                 queue_depth: 32,
                 ..ServeConfig::default()
             },
