@@ -71,8 +71,8 @@ pub const R12_UNCHECKED_ARITH: &str = "unchecked-arith-on-untrusted-input";
 /// `deadline`/`budget`/`remaining`/`expires`/`timeout` — somewhere in
 /// its condition or body. A retry loop with no budget in sight spins
 /// forever when the fault is persistent and blows the caller's SLO
-/// when it is not; the workspace contract is deadline-budgeted
-/// retries only (`ServeConfig::retry_budget`).
+/// when it is not; the workspace contract is that any retry is
+/// deadline-budgeted.
 pub const R13_UNBOUNDED_RETRY: &str = "unbounded-retry";
 /// R14: in the dynamic-navigator crate, every write to epoch-lifecycle
 /// state — fields rooted at `published`/`tombstone`/`pending`/`dirty`/
@@ -1135,8 +1135,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              reference a budget identifier — deadline/budget/remaining/expires/\n\
              timeout — in its condition or body. A budget-free retry loop spins\n\
              forever under a persistent fault and blows the caller's SLO under a\n\
-             transient one; the workspace contract is deadline-budgeted retries\n\
-             (`ServeConfig::retry_budget`, monotonic Instant math).\n\
+             transient one; the workspace contract is that any retry is\n\
+             deadline-budgeted (monotonic Instant math).\n\
              Fix: deduct every attempt from an explicit budget/deadline and stop\n\
              when it runs out."
         }

@@ -33,8 +33,6 @@ mod audit;
 pub mod gen;
 mod graph;
 mod mst;
-#[cfg(feature = "serde")]
-mod serde_impl;
 mod space;
 
 pub use audit::{

@@ -58,26 +58,12 @@ pub struct HealthCell {
     ok_streak: AtomicU64,
 }
 
-/// Demotion/promotion thresholds for a [`HealthCell`].
-#[derive(Debug, Clone, Copy)]
-pub struct HealthPolicy {
-    /// Consecutive failures that demote `Healthy` to `Suspect`.
-    pub suspect_after: u64,
-    /// Consecutive failures that demote to `Down`.
-    pub down_after: u64,
-    /// Consecutive successes that promote one level back up.
-    pub recover_after: u64,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            suspect_after: 3,
-            down_after: 8,
-            recover_after: 4,
-        }
-    }
-}
+/// Consecutive failures that demote `Healthy` to `Suspect`.
+const SUSPECT_AFTER: u64 = 3;
+/// Consecutive failures that demote to `Down`.
+const DOWN_AFTER: u64 = 8;
+/// Consecutive successes that promote one level back up.
+const RECOVER_AFTER: u64 = 4;
 
 impl HealthCell {
     /// Current state (single relaxed load; safe on the query path).
@@ -97,13 +83,13 @@ impl HealthCell {
     /// Records a health-relevant failure (panic, internal error, or
     /// deadline overrun). Returns the new state if this observation
     /// demoted the shard, `None` if the state is unchanged.
-    pub fn record_failure(&self, policy: &HealthPolicy) -> Option<ShardHealth> {
+    pub fn record_failure(&self) -> Option<ShardHealth> {
         let streak = self.fail_streak.fetch_add(1, Ordering::Relaxed) + 1;
         self.ok_streak.store(0, Ordering::Relaxed);
         let next = match self.get() {
-            ShardHealth::Healthy if streak >= policy.down_after => ShardHealth::Down,
-            ShardHealth::Healthy if streak >= policy.suspect_after => ShardHealth::Suspect,
-            ShardHealth::Suspect if streak >= policy.down_after => ShardHealth::Down,
+            ShardHealth::Healthy if streak >= DOWN_AFTER => ShardHealth::Down,
+            ShardHealth::Healthy if streak >= SUSPECT_AFTER => ShardHealth::Suspect,
+            ShardHealth::Suspect if streak >= DOWN_AFTER => ShardHealth::Down,
             _ => return None,
         };
         self.state.store(next.code(), Ordering::Relaxed);
@@ -111,17 +97,17 @@ impl HealthCell {
     }
 
     /// Records a successful query. Resets the failure streak; while
-    /// demoted, `recover_after` consecutive successes promote the
+    /// demoted, `RECOVER_AFTER` consecutive successes promote the
     /// shard one level (`Down → Suspect → Healthy`). Returns the new
     /// state if this observation promoted the shard.
-    pub fn record_success(&self, policy: &HealthPolicy) -> Option<ShardHealth> {
+    pub fn record_success(&self) -> Option<ShardHealth> {
         self.fail_streak.store(0, Ordering::Relaxed);
         let current = self.get();
         if current == ShardHealth::Healthy {
             return None;
         }
         let streak = self.ok_streak.fetch_add(1, Ordering::Relaxed) + 1;
-        if streak < policy.recover_after {
+        if streak < RECOVER_AFTER {
             return None;
         }
         self.ok_streak.store(0, Ordering::Relaxed);
@@ -151,29 +137,26 @@ mod tests {
     #[test]
     fn failure_streaks_walk_healthy_suspect_down() {
         let cell = HealthCell::default();
-        let policy = HealthPolicy {
-            suspect_after: 2,
-            down_after: 4,
-            recover_after: 2,
-        };
-        assert_eq!(cell.record_failure(&policy), None);
-        assert_eq!(cell.record_failure(&policy), Some(ShardHealth::Suspect));
-        assert_eq!(cell.record_failure(&policy), None);
-        assert_eq!(cell.record_failure(&policy), Some(ShardHealth::Down));
+        for streak in 1..=DOWN_AFTER {
+            let want = match streak {
+                SUSPECT_AFTER => Some(ShardHealth::Suspect),
+                DOWN_AFTER => Some(ShardHealth::Down),
+                _ => None,
+            };
+            assert_eq!(cell.record_failure(), want, "failure {streak}");
+        }
+        assert_eq!((SUSPECT_AFTER, DOWN_AFTER), (3, 8));
         assert_eq!(cell.get(), ShardHealth::Down);
     }
 
     #[test]
     fn a_success_resets_the_failure_streak() {
         let cell = HealthCell::default();
-        let policy = HealthPolicy {
-            suspect_after: 2,
-            down_after: 4,
-            recover_after: 2,
-        };
-        for _ in 0..8 {
-            assert_eq!(cell.record_failure(&policy), None);
-            assert_eq!(cell.record_success(&policy), None);
+        for _ in 0..2 * DOWN_AFTER {
+            for _ in 1..SUSPECT_AFTER {
+                assert_eq!(cell.record_failure(), None);
+            }
+            assert_eq!(cell.record_success(), None);
         }
         assert_eq!(cell.get(), ShardHealth::Healthy);
     }
@@ -181,16 +164,14 @@ mod tests {
     #[test]
     fn success_streaks_promote_one_level_at_a_time() {
         let cell = HealthCell::default();
-        let policy = HealthPolicy {
-            suspect_after: 1,
-            down_after: 2,
-            recover_after: 2,
-        };
         cell.set(ShardHealth::Down);
-        assert_eq!(cell.record_success(&policy), None);
-        assert_eq!(cell.record_success(&policy), Some(ShardHealth::Suspect));
-        assert_eq!(cell.record_success(&policy), None);
-        assert_eq!(cell.record_success(&policy), Some(ShardHealth::Healthy));
+        for next in [ShardHealth::Suspect, ShardHealth::Healthy] {
+            for _ in 1..RECOVER_AFTER {
+                assert_eq!(cell.record_success(), None);
+            }
+            assert_eq!(cell.record_success(), Some(next));
+        }
+        assert_eq!(RECOVER_AFTER, 4);
     }
 
     #[test]

@@ -50,14 +50,13 @@ mod shard;
 pub mod wire;
 
 pub use batch::BatchQueue;
-pub use health::{HealthCell, HealthPolicy, ShardHealth};
+pub use health::{HealthCell, ShardHealth};
 pub use metrics::{
     quantile_from_counts, LatencyHistogram, MetricsSnapshot, ServeMetrics, LATENCY_BUCKETS,
 };
 pub use server::{read_frame, Server, ServerHandle};
 pub use shard::{
-    retry_backoff, shard_of_point, Backend, BackendParams, BuildError, Pending, ServeConfig,
-    ShardedNavigator,
+    shard_of_point, Backend, BackendParams, BuildError, Pending, ServeConfig, ShardedNavigator,
 };
 
 use hopspan_core::DegradeReason;

@@ -94,7 +94,8 @@ pub struct ServeMetrics {
     pub batched_jobs: AtomicU64,
     /// Requests re-routed away from a `Down` owner shard.
     pub failovers: AtomicU64,
-    /// Retry attempts issued under the deadline budget.
+    /// Reserved wire slot: the serve layer never retries, so this
+    /// always reads 0.
     pub retries: AtomicU64,
     /// Transitions of any shard into the `Down` state.
     pub shard_down_events: AtomicU64,
@@ -219,7 +220,8 @@ pub struct MetricsSnapshot {
     pub p99_ns: u64,
     /// Requests re-routed away from a `Down` owner shard.
     pub failovers: u64,
-    /// Retry attempts issued under the deadline budget.
+    /// Reserved wire slot: the serve layer never retries, so this
+    /// always reads 0.
     pub retries: u64,
     /// Transitions of any shard into the `Down` state.
     pub shard_down_events: u64,

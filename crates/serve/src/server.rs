@@ -203,10 +203,16 @@ impl Server {
                         .name("hopspan-serve-conn".to_string())
                         .spawn(move || serve_connection(&engine, stream, &conn_stop));
                     if let Ok(handle) = spawned {
-                        accept_conns
+                        let mut conns = accept_conns
                             .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .push(handle);
+                            .unwrap_or_else(std::sync::PoisonError::into_inner);
+                        // Join finished connections so the list holds
+                        // live threads only, not one handle per
+                        // connection ever accepted.
+                        for done in conns.extract_if(.., |t| t.is_finished()) {
+                            let _join = done.join();
+                        }
+                        conns.push(handle);
                     }
                 }
             })?;
@@ -487,6 +493,49 @@ mod tests {
         let mut body = Vec::new();
         assert!(read_frame(&mut cur, &mut body).unwrap());
         assert_eq!(body.len(), wire::MAX_FRAME as usize);
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let points: Vec<Vec<f64>> = (0..16).map(|i| vec![f64::from(i)]).collect();
+        let params = crate::BackendParams {
+            build_router: false,
+            build_ft: false,
+            ..crate::BackendParams::default()
+        };
+        let engine = ShardedNavigator::replicated(
+            &hopspan_metric::EuclideanSpace::from_points(&points),
+            &params,
+            crate::ServeConfig::default(),
+        )
+        .unwrap();
+        let server = Server::start(Arc::new(engine), "127.0.0.1:0").unwrap();
+        let held = TcpStream::connect(server.local_addr()).unwrap();
+        held.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        for _ in 0..128 {
+            drop(TcpStream::connect(server.local_addr()).unwrap());
+        }
+        // Each accept reaps the connections that have closed by then;
+        // probe until the closed ones are gone.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            drop(TcpStream::connect(server.local_addr()).unwrap());
+            let live = server.conn_threads.lock().unwrap().len();
+            if live <= 4 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{live} connection handles held after 130 connections"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        // Shutdown still joins the live connection: its thread closes
+        // the socket on the way out, so the client reads EOF.
+        server.shutdown();
+        let mut byte = [0u8; 1];
+        assert_eq!((&held).read(&mut byte).unwrap(), 0);
     }
 
     #[test]

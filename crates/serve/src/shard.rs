@@ -35,14 +35,12 @@
 //! observations: caught panics, internal errors and deadline overruns
 //! demote, successes promote. Dispatch consults health with one atomic
 //! load — requests owned by a `Down` shard fail over to a live replica
-//! via a second deterministic FNV hash ([`ShardedNavigator::dispatch_for`]),
-//! and [`ShardedNavigator::call`] retries `WorkerPanicked` answers
-//! under a monotonic deadline budget with a seeded, bit-reproducible
-//! backoff schedule ([`retry_backoff`]). A panicked shard with a
-//! configured snapshot is quarantined and handed to a supervisor
-//! thread, which rebuilds it from the `HSNP` file, checks the
-//! `hx_hash` boot-fidelity witness, and re-admits it through `Suspect`
-//! after a probe query.
+//! via a second deterministic FNV hash ([`ShardedNavigator::dispatch_for`]).
+//! A `WorkerPanicked` answer reaches the caller typed and is never
+//! retried. A panicked shard with a configured snapshot is quarantined
+//! and handed to a supervisor thread, which rebuilds it from the `HSNP`
+//! file, checks the `hx_hash` boot-fidelity witness, and re-admits it
+//! through `Suspect` after a probe query.
 
 use std::collections::HashSet;
 use std::mem;
@@ -64,12 +62,11 @@ use hopspan_metric::{EuclideanSpace, Metric};
 use hopspan_pipeline::lock_resilient;
 use hopspan_routing::{MetricRoutingScheme, NavBuildError, RouteTrace, RoutingError};
 use hopspan_store as store;
-use rand::rngs::Pcg32;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::batch::{BatchQueue, Job};
-use crate::health::{HealthCell, HealthPolicy, ShardHealth};
+use crate::health::{HealthCell, ShardHealth};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::{DegradeCode, Op, QueryOutcome, ServeError};
 
@@ -446,7 +443,6 @@ struct SlotState {
     done: bool,
     outcome: Result<QueryOutcome, ServeError>,
     path: Vec<usize>,
-    stats: MetricsSnapshot,
     /// Epoch id stamped by the worker (`0` on static engines).
     epoch: u64,
 }
@@ -458,7 +454,6 @@ impl Slot {
                 done: false,
                 outcome: Err(ServeError::Internal),
                 path: Vec::with_capacity(64),
-                stats: MetricsSnapshot::default(),
                 epoch: 0,
             }),
             done_cv: Condvar::new(),
@@ -510,31 +505,15 @@ pub struct ServeConfig {
     /// panics inside the worker before executing (the panic must be
     /// contained and surfaced as [`ServeError::WorkerPanicked`]).
     pub chaos_panic_period: Option<u64>,
-    /// Streak thresholds for the per-shard health state machine.
-    pub health: HealthPolicy,
     /// When set, a job whose enqueue-to-completion latency exceeds
     /// this limit counts as a health-relevant failure (deadline
-    /// overrun) even if its answer was correct.
+    /// overrun) even if its answer was correct. The streak thresholds
+    /// are fixed constants in `health.rs`.
     pub overrun_limit: Option<Duration>,
-    /// Total monotonic time [`ShardedNavigator::call`] may spend
-    /// retrying `WorkerPanicked` answers (backoff sleeps included).
-    /// `Duration::ZERO` — the default — disables retries.
-    pub retry_budget: Duration,
-    /// Seed of the deterministic retry backoff schedule (see
-    /// [`retry_backoff`]).
-    pub retry_seed: u64,
     /// Chaos hook: when `Some((shard, delay))`, every job executed by
     /// that shard's workers sleeps `delay` first — a wedged/slow shard
     /// that the overrun limit must eventually demote.
     pub chaos_slow_shard: Option<(usize, Duration)>,
-    /// Load easing for `Suspect` shards in a replicated engine: the
-    /// per-mille of a suspect shard's owned requests it keeps serving.
-    /// The shed fraction is re-routed to a strictly-`Healthy` replica
-    /// picked by a second FNV-1a hash, so the easing decision is a
-    /// pure function of `(affinity point, owner)` — bit-identical in
-    /// every process. `1000` (the default) keeps everything on the
-    /// owner, i.e. easing off; `0` sheds all suspect-owned traffic.
-    pub suspect_keep_permille: u16,
 }
 
 impl Default for ServeConfig {
@@ -546,12 +525,8 @@ impl Default for ServeConfig {
             queue_depth: 256,
             policy: DegradationPolicy::Strict,
             chaos_panic_period: None,
-            health: HealthPolicy::default(),
             overrun_limit: None,
-            retry_budget: Duration::ZERO,
-            retry_seed: 0x5eed_0b0f,
             chaos_slow_shard: None,
-            suspect_keep_permille: 1000,
         }
     }
 }
@@ -818,27 +793,9 @@ impl ShardedNavigator {
         Ok(engine)
     }
 
-    /// Boots the service from an `HSNP` snapshot file with a single
-    /// decode shared by every shard (the [`ShardedNavigator::shared`]
-    /// memory layout).
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::Store`] when the file is unreadable, corrupt or
-    /// fails deep validation; the usual [`BuildError`]s otherwise.
-    pub fn shared_from_snapshot(path: &Path, cfg: ServeConfig) -> Result<Self, BuildError> {
-        validate(&cfg)?;
-        let (snap, _digest) = store::read_snapshot_file(path).map_err(BuildError::Store)?;
-        let backend = Arc::new(Backend::from_navigator(snap.points, snap.navigator));
-        let backends = (0..cfg.shards).map(|_| Arc::clone(&backend)).collect();
-        let engine = Self::from_backends(backends, cfg, false)?;
-        engine.set_snapshot_path(path);
-        Ok(engine)
-    }
-
     /// Configures the file the `Snapshot` / `LoadSnapshot` wire
     /// opcodes and the respawn supervisor operate on. The snapshot
-    /// boot constructors set this to the file they booted from.
+    /// boot constructor sets this to the file it booted from.
     /// Setting a path also records the live navigator's `hx_hash` as
     /// the boot-fidelity witness and arms panic quarantine + respawn.
     pub fn set_snapshot_path(&self, path: impl Into<PathBuf>) {
@@ -952,8 +909,10 @@ impl ShardedNavigator {
     }
 
     /// A point-in-time metrics snapshot (what the `Stats` opcode
-    /// ships). On a dynamic engine the builder-side counters (rebuild
-    /// count, per-shard epoch bytes) are reconciled first.
+    /// ships), and the only place one is built: a queued
+    /// [`Op::Stats`] job just answers [`QueryOutcome::Stats`]. On a
+    /// dynamic engine the builder-side counters (rebuild count,
+    /// per-shard epoch bytes) are reconciled first.
     pub fn snapshot(&self) -> MetricsSnapshot {
         if let Some(nav) = self.backend_of(0).dynamic_nav() {
             self.metrics
@@ -984,59 +943,26 @@ impl ShardedNavigator {
     /// same replica (pinned by `tests/failover_determinism.rs`). With
     /// zero healthy shards, or in shared mode, the owner is returned
     /// unchanged and answers typed.
-    ///
-    /// A `Suspect` owner additionally sheds a deterministic fraction
-    /// of its load when [`ServeConfig::suspect_keep_permille`] is
-    /// below 1000: a per-request FNV-1a roll over
-    /// `(affinity point, owner, 0x51)` decides keep-vs-shed, and shed
-    /// requests re-route to a strictly-`Healthy` replica. The easing
-    /// gives a recovering shard headroom to clear its probation streak
-    /// instead of being re-demoted by its own backlog.
     pub fn dispatch_for(&self, op: &Op) -> usize {
         let owner = self.shard_for(op);
-        if !self.replicated {
+        if !self.replicated || self.shards[owner].health.get() != ShardHealth::Down {
             return owner;
         }
-        match self.shards[owner].health.get() {
-            ShardHealth::Down => self
-                .pick_alternate(op.affinity_point(), owner, false)
-                .unwrap_or(owner),
-            ShardHealth::Suspect if self.cfg.suspect_keep_permille < 1000 => {
-                let mut key = [0u8; 9];
-                key[..4].copy_from_slice(&op.affinity_point().to_le_bytes());
-                key[4..8].copy_from_slice(&(owner as u32).to_le_bytes());
-                key[8] = 0x51; // domain separator vs the Down-failover hash
-                let roll = (crate::wire::fnv1a(&key) % 1000) as u16;
-                if roll < self.cfg.suspect_keep_permille {
-                    owner
-                } else {
-                    self.pick_alternate(op.affinity_point(), owner, true)
-                        .unwrap_or(owner)
-                }
-            }
-            _ => owner,
-        }
+        self.pick_alternate(op.affinity_point(), owner)
+            .unwrap_or(owner)
     }
 
     /// Picks the deterministic alternate shard for a request owned by
-    /// `owner`: the k-th eligible shard, k drawn by a second FNV-1a
-    /// hash over `(point, owner)`. `strict` restricts eligibility to
-    /// `Healthy` shards (suspect easing); otherwise any non-`Down`
-    /// shard qualifies (down failover — the hash input is unchanged
-    /// from the pre-easing code, so existing failover pins hold).
-    fn pick_alternate(&self, point: u32, owner: usize, strict: bool) -> Option<usize> {
-        let eligible = |h: ShardHealth| {
-            if strict {
-                h == ShardHealth::Healthy
-            } else {
-                h != ShardHealth::Down
-            }
+    /// a `Down` `owner`: the k-th non-`Down` shard, k drawn by a second
+    /// FNV-1a hash over `(point, owner)`.
+    fn pick_alternate(&self, point: u32, owner: usize) -> Option<usize> {
+        let live = || {
+            self.shards
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.health.get() != ShardHealth::Down)
         };
-        let count = self
-            .shards
-            .iter()
-            .filter(|s| eligible(s.health.get()))
-            .count();
+        let count = live().count();
         if count == 0 {
             return None;
         }
@@ -1044,17 +970,9 @@ impl ShardedNavigator {
         key[..4].copy_from_slice(&point.to_le_bytes());
         key[4..].copy_from_slice(&(owner as u32).to_le_bytes());
         let pick = (crate::wire::fnv1a(&key) % count as u64) as usize;
-        let mut seen = 0usize;
-        for (i, s) in self.shards.iter().enumerate() {
-            if !eligible(s.health.get()) {
-                continue;
-            }
-            if seen == pick {
-                return Some(i);
-            }
-            seen += 1;
-        }
-        None // a shard flipped mid-scan; the owner still answers typed
+        // `None` when a shard flipped mid-scan; the owner then answers
+        // typed.
+        live().nth(pick).map(|(i, _)| i)
     }
 
     /// Submits a request for batched execution. Returns a
@@ -1180,12 +1098,8 @@ impl ShardedNavigator {
     ///   and there are no replicas to re-route to, `BestEffort`
     ///   answers inline as `Degraded{ShardDown}` instead of queueing
     ///   on the quarantined shard.
-    /// * **Deadline-budgeted retries** — a `WorkerPanicked` answer is
-    ///   retried while the backoff sleep still fits inside
-    ///   [`ServeConfig::retry_budget`] (monotonic-clock accounting;
-    ///   the budget covers sleeps *and* queue waits, so a retry can
-    ///   never blow the caller's latency budget by more than one
-    ///   batch). The schedule is deterministic — see [`retry_backoff`].
+    /// * **No retries** — a contained worker panic surfaces as
+    ///   [`ServeError::WorkerPanicked`] on the first attempt.
     ///
     /// # Errors
     ///
@@ -1214,38 +1128,17 @@ impl ShardedNavigator {
         {
             return self.call_inline_with(op, out, DegradeCode::ShardDown);
         }
-        let retry_budget = self.cfg.retry_budget;
-        let started = Instant::now();
-        let mut attempt: u32 = 0;
-        loop {
-            let result = match self.try_submit(op) {
-                Ok(pending) => pending.wait_epoch_into(out),
-                Err(ServeError::Overloaded { .. })
-                    if self.cfg.policy == DegradationPolicy::BestEffort =>
-                {
-                    // The rejection is recovered inline, so it was not
-                    // actually shed; undo try_submit's shed bump.
-                    ServeMetrics::unbump(&self.metrics.shed);
-                    return self.call_inline_with(op, out, DegradeCode::Overload);
-                }
-                Err(e) => Err(e),
-            };
-            if !matches!(result, Err(ServeError::WorkerPanicked)) {
-                return result;
+        match self.try_submit(op) {
+            Ok(pending) => pending.wait_epoch_into(out),
+            Err(ServeError::Overloaded { .. })
+                if self.cfg.policy == DegradationPolicy::BestEffort =>
+            {
+                // The rejection is recovered inline, so it was not
+                // actually shed; undo try_submit's shed bump.
+                ServeMetrics::unbump(&self.metrics.shed);
+                self.call_inline_with(op, out, DegradeCode::Overload)
             }
-            // Deadline-budgeted retry: the next backoff sleep must fit
-            // in what remains of `retry_budget` (saturating monotonic
-            // math — an exhausted budget returns the typed error).
-            attempt += 1;
-            let delay = retry_backoff(self.cfg.retry_seed, retry_key(&op), attempt);
-            let Some(remaining_budget) = retry_budget.checked_sub(started.elapsed()) else {
-                return result;
-            };
-            if delay >= remaining_budget {
-                return result;
-            }
-            ServeMetrics::bump(&self.metrics.retries);
-            std::thread::sleep(delay);
+            Err(e) => Err(e),
         }
     }
 
@@ -1289,9 +1182,6 @@ fn validate(cfg: &ServeConfig) -> Result<(), BuildError> {
     if cfg.queue_depth > u32::MAX as usize {
         return Err(BuildError::Config("queue_depth exceeds u32"));
     }
-    if cfg.suspect_keep_permille > 1000 {
-        return Err(BuildError::Config("suspect_keep_permille exceeds 1000"));
-    }
     Ok(())
 }
 
@@ -1314,8 +1204,7 @@ impl Pending<'_> {
     ///
     /// The typed [`ServeError`] the worker recorded, if any.
     pub fn wait_into(self, out: &mut Vec<usize>) -> Result<QueryOutcome, ServeError> {
-        let (outcome, _, _) = self.wait_raw(out);
-        outcome
+        self.wait_epoch_into(out).map(|(outcome, _epoch)| outcome)
     }
 
     /// Like [`Pending::wait_into`], additionally returning the serving
@@ -1325,30 +1214,6 @@ impl Pending<'_> {
     ///
     /// The typed [`ServeError`] the worker recorded, if any.
     pub fn wait_epoch_into(self, out: &mut Vec<usize>) -> Result<(QueryOutcome, u64), ServeError> {
-        let (outcome, _, epoch) = self.wait_raw(out);
-        outcome.map(|o| (o, epoch))
-    }
-
-    /// Blocks until the answer lands and returns the stats snapshot a
-    /// [`Op::Stats`] request produced.
-    ///
-    /// # Errors
-    ///
-    /// The typed [`ServeError`] the worker recorded, if any;
-    /// [`ServeError::BadRequest`] when the request was not `Stats`.
-    pub fn wait_stats(self) -> Result<MetricsSnapshot, ServeError> {
-        let mut sink = Vec::new();
-        let (outcome, stats, _) = self.wait_raw(&mut sink);
-        match outcome? {
-            QueryOutcome::Stats => Ok(stats),
-            _ => Err(ServeError::BadRequest),
-        }
-    }
-
-    fn wait_raw(
-        self,
-        out: &mut Vec<usize>,
-    ) -> (Result<QueryOutcome, ServeError>, MetricsSnapshot, u64) {
         let shard = &self.engine.shards[self.shard as usize];
         let slot = &shard.slots[self.slot as usize];
         let mut st = lock_resilient(&slot.state);
@@ -1360,13 +1225,12 @@ impl Pending<'_> {
         }
         st.done = false;
         let outcome = st.outcome;
-        let stats = st.stats;
         let epoch = st.epoch;
         out.clear();
         out.extend_from_slice(&st.path);
         drop(st);
         self.engine.release(self.shard, self.slot);
-        (outcome, stats, epoch)
+        outcome.map(|o| (o, epoch))
     }
 }
 
@@ -1387,28 +1251,6 @@ fn realized_stretch<M: Metric>(metric: &M, path: &[usize]) -> f64 {
     }
     let w: f64 = path.windows(2).map(|w| metric.dist(w[0], w[1])).sum();
     (w / d).max(1.0)
-}
-
-/// The request key feeding [`retry_backoff`]: opcode plus affinity
-/// point, so distinct requests draw from distinct PCG streams.
-fn retry_key(op: &Op) -> u64 {
-    (u64::from(op.opcode()) << 32) | u64::from(op.affinity_point())
-}
-
-/// The deterministic retry backoff schedule: attempt `attempt`
-/// (1-based) sleeps `base + jitter` where `base = 2^min(attempt, 10)`
-/// microseconds and `jitter ∈ [0, base]` µs is drawn from a PCG-32
-/// stream keyed by `(seed ^ request_key, attempt)` — the same
-/// construction as the chaos harness's `scenario_rng`, so the full
-/// retry schedule of a campaign is bit-identical in every process and
-/// at every `HOPSPAN_WORKERS` setting. Pure: no clocks, no global
-/// state, no allocation.
-#[must_use]
-pub fn retry_backoff(seed: u64, request_key: u64, attempt: u32) -> Duration {
-    let mut rng = Pcg32::new(seed ^ request_key, u64::from(attempt));
-    let base_us = 1u64 << attempt.min(10);
-    let jitter_us = rng.gen_range(0..base_us + 1);
-    Duration::from_micros(base_us + jitter_us)
 }
 
 /// Everything a worker needs to execute one job, bundled so the
@@ -1500,23 +1342,10 @@ fn run_job(ctx: &JobCtx<'_>, job: &Job, scratch: &mut Scratch) {
         ctx.metrics
             .set_epoch_byte(ctx.shard.index as usize, (scratch.epoch & 0xff) as u8);
     }
-    let stats = if matches!(job.op, Op::Stats) {
-        if let Some(nav) = ctx.backend.dynamic_nav() {
-            // Rebuilds happen on the builder thread, outside any
-            // worker; reconcile the counter when stats are served.
-            ctx.metrics
-                .rebuilds
-                .store(nav.counters().rebuilds, Ordering::Relaxed);
-        }
-        ctx.metrics.snapshot()
-    } else {
-        MetricsSnapshot::default()
-    };
     let slot = &ctx.shard.slots[job.slot as usize];
     let mut st = lock_resilient(&slot.state);
     mem::swap(&mut st.path, &mut scratch.out);
     st.outcome = outcome;
-    st.stats = stats;
     st.epoch = scratch.epoch;
     st.done = true;
     drop(st);
@@ -1545,12 +1374,12 @@ fn record_health(ctx: &JobCtx<'_>, job: &Job, outcome: &Result<QueryOutcome, Ser
                 ctx.metrics
                     .set_health_byte(ctx.shard.index as usize, ShardHealth::Down.code());
                 request_respawn(ctx.sup, ctx.shard.index);
-            } else if let Some(next) = ctx.shard.health.record_failure(&ctx.cfg.health) {
+            } else if let Some(next) = ctx.shard.health.record_failure() {
                 note_transition(ctx.metrics, ctx.shard.index, next);
             }
         }
         Err(ServeError::Internal) => {
-            if let Some(next) = ctx.shard.health.record_failure(&ctx.cfg.health) {
+            if let Some(next) = ctx.shard.health.record_failure() {
                 note_transition(ctx.metrics, ctx.shard.index, next);
             }
         }
@@ -1560,9 +1389,9 @@ fn record_health(ctx: &JobCtx<'_>, job: &Job, outcome: &Result<QueryOutcome, Ser
                 .overrun_limit
                 .is_some_and(|limit| job.enqueued.elapsed() > limit);
             let change = if overrun {
-                ctx.shard.health.record_failure(&ctx.cfg.health)
+                ctx.shard.health.record_failure()
             } else {
-                ctx.shard.health.record_success(&ctx.cfg.health)
+                ctx.shard.health.record_success()
             };
             if let Some(next) = change {
                 note_transition(ctx.metrics, ctx.shard.index, next);

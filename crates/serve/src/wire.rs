@@ -26,6 +26,9 @@
 
 use crate::{DegradeCode, FaultSet, MetricsSnapshot, Op, QueryOutcome, ServeError};
 
+/// FNV-1a over a byte slice (the workspace golden-hash convention).
+pub use hopspan_store::fnv1a;
+
 /// Frame magic: `"HSPN"`.
 pub const MAGIC: [u8; 4] = *b"HSPN";
 
@@ -185,16 +188,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// FNV-1a over a byte slice (the workspace golden-hash convention).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A decoded frame: header fields plus a borrowed payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,8 +1,7 @@
 //! Serve-layer integration of the dynamic engine: `Insert`/`Remove`
 //! opcodes end to end (queued, inline and over TCP), epoch ids echoed
 //! in replies, typed `PointRetired` answers, mutation metrics and the
-//! per-shard epoch byte — plus the suspect-shard load easing that
-//! rides along in `dispatch_for`.
+//! per-shard epoch byte.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -10,9 +9,7 @@ use std::time::Duration;
 
 use hopspan_dynamic::DynConfig;
 use hopspan_serve::wire::{self, Response};
-use hopspan_serve::{
-    Op, QueryOutcome, ServeConfig, ServeError, Server, ShardHealth, ShardedNavigator,
-};
+use hopspan_serve::{Op, QueryOutcome, ServeConfig, ServeError, Server, ShardedNavigator};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -196,84 +193,4 @@ fn mutations_serve_over_tcp_with_epoch_echo() {
         }
     }
     server.shutdown();
-}
-
-#[test]
-fn suspect_easing_sheds_a_deterministic_fraction_to_healthy_shards() {
-    let points = hopspan_metric::EuclideanSpace::from_points(&uniform(40, 2, 11));
-    let params = hopspan_serve::BackendParams {
-        build_router: false,
-        build_ft: false,
-        ..hopspan_serve::BackendParams::default()
-    };
-    let cfg = ServeConfig {
-        shards: 4,
-        suspect_keep_permille: 500,
-        ..ServeConfig::default()
-    };
-    let engine =
-        ShardedNavigator::replicated(&points, &params, cfg.clone()).expect("engine builds");
-    let ops: Vec<Op> = (0..200u32).map(|u| Op::FindPath { u, v: 0 }).collect();
-
-    // Baseline: with every shard healthy, dispatch == ownership.
-    for op in &ops {
-        assert_eq!(engine.dispatch_for(op), engine.shard_for(op));
-    }
-
-    // Demote one shard to Suspect: its owned requests split into a
-    // kept group (still on the owner) and a shed group (re-routed to
-    // strictly-Healthy shards). Both groups must be non-empty at 500‰
-    // over 200 requests, and no shed request may land on the suspect.
-    engine.set_health(1, ShardHealth::Suspect);
-    let mut kept = 0usize;
-    let mut shed = 0usize;
-    let first: Vec<usize> = ops.iter().map(|op| engine.dispatch_for(op)).collect();
-    for (op, &target) in ops.iter().zip(&first) {
-        let owner = engine.shard_for(op);
-        if owner != 1 {
-            assert_eq!(target, owner, "healthy owners keep their traffic");
-        } else if target == 1 {
-            kept += 1;
-        } else {
-            shed += 1;
-            assert_eq!(engine.health(target), ShardHealth::Healthy);
-        }
-    }
-    assert!(kept > 0, "500 permille must keep some suspect traffic");
-    assert!(shed > 0, "500 permille must shed some suspect traffic");
-
-    // The easing decision is a pure function of (point, owner): a
-    // second pass and a second identically-configured engine agree.
-    let second: Vec<usize> = ops.iter().map(|op| engine.dispatch_for(op)).collect();
-    assert_eq!(first, second);
-    let twin = ShardedNavigator::replicated(&points, &params, cfg).expect("twin builds");
-    twin.set_health(1, ShardHealth::Suspect);
-    let twin_targets: Vec<usize> = ops.iter().map(|op| twin.dispatch_for(op)).collect();
-    assert_eq!(first, twin_targets);
-
-    // keep=1000 (the default) disables easing entirely.
-    let eased_off = ShardedNavigator::replicated(
-        &points,
-        &params,
-        ServeConfig {
-            shards: 4,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("engine builds");
-    eased_off.set_health(1, ShardHealth::Suspect);
-    for op in &ops {
-        assert_eq!(eased_off.dispatch_for(op), eased_off.shard_for(op));
-    }
-
-    // Config validation rejects an out-of-range permille.
-    assert!(ShardedNavigator::replicated(
-        &points,
-        &params,
-        ServeConfig {
-            suspect_keep_permille: 1001,
-            ..ServeConfig::default()
-        }
-    )
-    .is_err());
 }

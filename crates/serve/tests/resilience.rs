@@ -1,6 +1,6 @@
 //! Self-healing behavior end to end: replicated failover answers every
 //! query while shards are down, shared-mode failover degrades typed,
-//! deadline-budgeted retries ride out injected panics, slow shards are
+//! injected panics surface typed without a retry, slow shards are
 //! demoted by the overrun limit, and quarantined shards respawn from
 //! the boot snapshot — or stay down when the snapshot is corrupt.
 
@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 use hopspan_core::DegradationPolicy;
 use hopspan_metric::gen;
 use hopspan_serve::{
-    retry_backoff, shard_of_point, Backend, BackendParams, DegradeCode, Op, QueryOutcome,
-    ServeConfig, ServeError, ShardHealth, ShardedNavigator,
+    shard_of_point, Backend, BackendParams, DegradeCode, Op, QueryOutcome, ServeConfig, ServeError,
+    ShardHealth, ShardedNavigator,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -218,37 +218,9 @@ fn shared_mode_best_effort_answers_down_shards_inline_as_shard_down() {
 }
 
 #[test]
-fn budgeted_retries_ride_out_injected_panics() {
-    let engine = ShardedNavigator::replicated(
-        &points(),
-        &params(),
-        ServeConfig {
-            shards: 1,
-            // Every 2nd job panics: the first attempt of each call
-            // below alternates panic/success, so one retry always
-            // lands on a good job.
-            chaos_panic_period: Some(2),
-            retry_budget: Duration::from_millis(250),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("replicated engine starts");
+fn injected_panics_surface_typed_without_retry() {
     let mut out = Vec::new();
-    for i in 0..10u32 {
-        let outcome = engine
-            .call(Op::FindPath { u: i, v: i + 20 }, &mut out)
-            .expect("the retry budget must absorb every injected panic");
-        assert_eq!(outcome, QueryOutcome::Full);
-    }
-    let snap = engine.snapshot();
-    assert!(
-        snap.retries >= 5,
-        "half the first attempts panic; got {}",
-        snap.retries
-    );
-
-    // With a zero budget (the default) the same fault surfaces typed.
-    let no_retry = ShardedNavigator::replicated(
+    let engine = ShardedNavigator::replicated(
         &points(),
         &params(),
         ServeConfig {
@@ -259,38 +231,11 @@ fn budgeted_retries_ride_out_injected_panics() {
     )
     .expect("replicated engine starts");
     assert_eq!(
-        no_retry.call(Op::FindPath { u: 0, v: 1 }, &mut out),
+        engine.call(Op::FindPath { u: 0, v: 1 }, &mut out),
         Err(ServeError::WorkerPanicked),
-        "a zero retry budget disables retries"
+        "a contained panic surfaces on the first attempt"
     );
-    assert_eq!(no_retry.snapshot().retries, 0);
-}
-
-#[test]
-fn retry_backoff_is_deterministic_and_budget_shaped() {
-    for key in [0u64, 0x3 << 32 | 7, u64::MAX] {
-        for attempt in 1..=12u32 {
-            let a = retry_backoff(0x5eed_0b0f, key, attempt);
-            let b = retry_backoff(0x5eed_0b0f, key, attempt);
-            assert_eq!(a, b, "same (seed, key, attempt) must sleep identically");
-            let base = Duration::from_micros(1 << attempt.min(10));
-            assert!(
-                a >= base && a <= base * 2,
-                "attempt {attempt}: {a:?} out of [base, 2*base]"
-            );
-        }
-        // The seed must matter: two seeds cannot share the whole
-        // 12-attempt schedule (single attempts may collide — the
-        // attempt-1 jitter range is only three values wide).
-        let schedule = |seed: u64| -> Vec<Duration> {
-            (1..=12).map(|a| retry_backoff(seed, key, a)).collect()
-        };
-        assert_ne!(
-            schedule(0x5eed_0b0f),
-            schedule(!0x5eed_0b0f),
-            "the seed must matter"
-        );
-    }
+    assert_eq!(engine.snapshot().retries, 0);
 }
 
 #[test]
@@ -310,7 +255,7 @@ fn a_slow_shard_is_demoted_by_the_overrun_limit() {
         .find(|&u| shard_of_point(u, 2) == 0)
         .expect("some point hashes to shard 0");
     let mut out = Vec::new();
-    // down_after (default 8) overruns demote the wedged shard.
+    // Eight consecutive overruns (`DOWN_AFTER`) demote the wedged shard.
     for _ in 0..12 {
         if engine.health(0) == ShardHealth::Down {
             break;

@@ -365,47 +365,6 @@ impl RootedTree {
     }
 }
 
-#[cfg(feature = "serde")]
-mod serde_impl {
-    //! Serde support (feature `serde`): trees serialize as
-    //! `{ root, edges }` and deserialize through [`RootedTree::from_edges`],
-    //! so invariants cannot be bypassed by crafted input.
-
-    use serde::de::Error as _;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    use super::RootedTree;
-
-    #[derive(Serialize, Deserialize)]
-    struct Proxy {
-        root: usize,
-        n: usize,
-        edges: Vec<(usize, usize, f64)>,
-    }
-
-    impl Serialize for RootedTree {
-        fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            let edges: Vec<(usize, usize, f64)> = (0..self.len())
-                .filter_map(|v| self.parent(v).map(|p| (p, v, self.parent_weight(v))))
-                .collect();
-            Proxy {
-                root: self.root(),
-                n: self.len(),
-                edges,
-            }
-            .serialize(serializer)
-        }
-    }
-
-    impl<'de> Deserialize<'de> for RootedTree {
-        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-            let proxy = Proxy::deserialize(deserializer)?;
-            RootedTree::from_edges(proxy.n, proxy.root, &proxy.edges)
-                .map_err(|e| D::Error::custom(e.to_string()))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

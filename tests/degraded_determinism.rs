@@ -16,6 +16,7 @@ use std::process::Command;
 
 use hopspan::core::{DegradationPolicy, FaultTolerantSpanner, FtPath};
 use hopspan::metric::gen;
+use hopspan::store::fnv1a;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -75,15 +76,6 @@ fn serialize_outcomes() -> String {
         }
     }
     out
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[test]

@@ -11,12 +11,15 @@
 //! The test re-executes its own binary (filtered to this test) with
 //! `HOPSPAN_DETERMINISM_CHILD` set; the child builds the navigator with
 //! the worker count taken from `HOPSPAN_WORKERS` and prints an
-//! FNV-1a hash of the serialized edge list on a marker line.
+//! FNV-1a hash of the serialized edge list on a marker line. FNV-1a is
+//! portable and has no per-process seed, unlike `DefaultHasher`, whose
+//! output may legally differ between runs.
 
 use std::process::Command;
 
 use hopspan::core::MetricNavigator;
 use hopspan::metric::gen;
+use hopspan::store::fnv1a;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -43,18 +46,6 @@ fn serialize_edges(nav: &MetricNavigator) -> String {
         out.push_str(&format!("{u} {v} {:016x}\n", w.to_bits()));
     }
     out
-}
-
-/// FNV-1a, 64-bit — chosen because it is trivially portable and has no
-/// per-process seed (unlike `DefaultHasher`, whose output may legally
-/// differ between runs).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[test]

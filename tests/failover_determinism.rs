@@ -1,11 +1,10 @@
 //! Cross-process determinism of the resilience layer: failover
-//! targets and the retry backoff schedule must be bit-identical for
-//! any `HOPSPAN_WORKERS` setting and across process runs. Failover
-//! re-routing is a pure function of the health configuration (FNV-1a
-//! rehash over healthy shards — no clocks, no `DefaultHasher`), and
-//! the backoff schedule is a seeded PCG-32 stream, so a failure script
-//! replayed on another machine must produce the same dispatch tables,
-//! the same sleep schedule and the same served answers.
+//! targets must be bit-identical for any `HOPSPAN_WORKERS` setting and
+//! across process runs. Failover re-routing is a pure function of the
+//! health configuration (FNV-1a rehash over healthy shards — no
+//! clocks, no `DefaultHasher`), so a failure script replayed on
+//! another machine must produce the same dispatch tables and the same
+//! served answers.
 //!
 //! Same harness as `serve_determinism.rs`: the parent re-executes its
 //! own binary with `HOPSPAN_DETERMINISM_CHILD` set and compares FNV-1a
@@ -15,9 +14,8 @@
 use std::process::Command;
 
 use hopspan::metric::gen;
-use hopspan::serve::{
-    retry_backoff, BackendParams, Op, QueryOutcome, ServeConfig, ShardHealth, ShardedNavigator,
-};
+use hopspan::serve::{BackendParams, Op, QueryOutcome, ServeConfig, ShardHealth, ShardedNavigator};
+use hopspan::store::fnv1a;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -31,9 +29,8 @@ const N: usize = 64;
 const OUTAGE_SCRIPTS: [&[usize]; 5] = [&[], &[1], &[2], &[0, 3], &[1, 2]];
 
 /// Canonical serialization of (a) the failover dispatch table for
-/// every point under every scripted outage, (b) the deterministic
-/// retry backoff schedule, and (c) served outcomes through a live
-/// engine with one shard down.
+/// every point under every scripted outage and (b) served outcomes
+/// through a live engine with one shard down.
 fn serialize_outcomes() -> String {
     let mut out = String::new();
     let mut rng = ChaCha8Rng::seed_from_u64(0x5E4E_DE7F);
@@ -72,19 +69,7 @@ fn serialize_outcomes() -> String {
         }
     }
 
-    // (b) Backoff schedules: pure functions of (seed, key, attempt).
-    for seed in [0x5eed_0b0fu64, 0xD15E_A5E5] {
-        for key in [0u64, (3u64 << 32) | 7, (1u64 << 32) | 63, u64::MAX] {
-            for attempt in 1..=6u32 {
-                out.push_str(&format!(
-                    "B {seed:016x} {key:016x} {attempt} {}\n",
-                    retry_backoff(seed, key, attempt).as_nanos()
-                ));
-            }
-        }
-    }
-
-    // (c) Live served answers with shard 1 down: every re-routed query
+    // (b) Live served answers with shard 1 down: every re-routed query
     // must land on the same replica and answer the same path.
     let engine = mk();
     engine.set_health(1, ShardHealth::Down);
@@ -118,17 +103,8 @@ fn serialize_outcomes() -> String {
     out
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[test]
-fn failover_targets_and_retry_schedules_are_stable_across_processes() {
+fn failover_targets_are_stable_across_processes() {
     let serialized = serialize_outcomes();
     let local_hash = fnv1a(serialized.as_bytes());
 
@@ -157,7 +133,7 @@ fn failover_targets_and_retry_schedules_are_stable_across_processes() {
     for workers in [1usize, 4, 16] {
         let output = Command::new(&exe)
             .args([
-                "failover_targets_and_retry_schedules_are_stable_across_processes",
+                "failover_targets_are_stable_across_processes",
                 "--exact",
                 "--nocapture",
             ])
@@ -176,7 +152,7 @@ fn failover_targets_and_retry_schedules_are_stable_across_processes() {
         assert_eq!(
             child_hash,
             format!("{local_hash:016x}"),
-            "failover dispatch or retry schedule differs between this \
+            "failover dispatch differs between this \
              process and a child with HOPSPAN_WORKERS={workers}; \
              serialization:\n{serialized}"
         );

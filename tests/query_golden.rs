@@ -17,6 +17,7 @@
 
 use hopspan::core::MetricNavigator;
 use hopspan::metric::gen;
+use hopspan::store::fnv1a;
 use hopspan::tree_spanner::TreeHopSpanner;
 use hopspan::treealg::RootedTree;
 use rand::SeedableRng;
@@ -28,16 +29,6 @@ const GOLDEN_TREE: u64 = 0x689d_e8aa_4fa5_90ae;
 const GOLDEN_DOUBLING: u64 = 0xc19c_3bbb_643a_87ff;
 /// Pre-refactor hash of workload 3 (Ramsey cover, graph metric).
 const GOLDEN_RAMSEY: u64 = 0xc417_efe6_1336_be49;
-
-/// FNV-1a, 64-bit — portable and seedless (see `tests/determinism.rs`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn push_path(out: &mut String, u: usize, v: usize, path: &[usize]) {
     out.push_str(&format!("{u} {v}:"));

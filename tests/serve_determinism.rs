@@ -18,6 +18,7 @@ use hopspan::metric::gen;
 use hopspan::serve::{
     shard_of_point, BackendParams, FaultSet, Op, QueryOutcome, ServeConfig, ShardedNavigator,
 };
+use hopspan::store::fnv1a;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -91,15 +92,6 @@ fn serialize_outcomes() -> String {
         }
     }
     out
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[test]
