@@ -1,6 +1,7 @@
 //! Golden-hash regression for the query path: the FNV-1a hash of the
 //! all-pairs concatenated `find_path` output on three fixed-seed
-//! workloads, mirroring `tests/determinism.rs`.
+//! workloads, mirroring `tests/determinism.rs`, plus a fourth over the
+//! fault-tolerant spanner's policy-aware `find_path_avoiding` outcomes.
 //!
 //! The constants below were computed against the pre-flattening
 //! implementation (BTreeMap-backed `Navigator`, per-query base-case
@@ -15,7 +16,9 @@
 //! HOPSPAN_GOLDEN_PRINT=1 cargo test --test query_golden -- --nocapture
 //! ```
 
-use hopspan::core::MetricNavigator;
+use std::collections::HashSet;
+
+use hopspan::core::{DegradationPolicy, FaultTolerantSpanner, FtPath, MetricNavigator};
 use hopspan::metric::gen;
 use hopspan::store::fnv1a;
 use hopspan::tree_spanner::TreeHopSpanner;
@@ -29,6 +32,9 @@ const GOLDEN_TREE: u64 = 0x689d_e8aa_4fa5_90ae;
 const GOLDEN_DOUBLING: u64 = 0xc19c_3bbb_643a_87ff;
 /// Pre-refactor hash of workload 3 (Ramsey cover, graph metric).
 const GOLDEN_RAMSEY: u64 = 0xc417_efe6_1336_be49;
+/// Hash of workload 4 (fault-tolerant spanner, both policies), pinned
+/// before the cover's duplicate trees were dropped from the FT scan.
+const GOLDEN_FT: u64 = 0x140e_9a84_2226_170f;
 
 fn push_path(out: &mut String, u: usize, v: usize, path: &[usize]) {
     out.push_str(&format!("{u} {v}:"));
@@ -111,15 +117,60 @@ fn hash_ramsey_workload() -> u64 {
     fnv1a(out.as_bytes())
 }
 
+/// Workload 4: every unordered pair's fault-avoiding outcome on a
+/// clustered instance (f = 1, k = 3), under `Strict` and `BestEffort`,
+/// against an in-budget and an over-budget fault set. Clustered points
+/// give a robust cover with many repeated trees, so the pin covers the
+/// first-strict-minimum tree scan, the degraded arms and the stretches
+/// (as `to_bits`).
+fn hash_ft_workload() -> u64 {
+    let n = 48;
+    let mut rng = ChaCha8Rng::seed_from_u64(0xF7_0004);
+    let m = gen::clustered_points(n, 2, 4, 0.02, &mut rng);
+    let sp = FaultTolerantSpanner::new(&m, 0.5, 1, 3).expect("FT spanner builds");
+    let mut out = String::new();
+    for faults in [&[5usize][..], &[5, 30]] {
+        let faulty: HashSet<usize> = faults.iter().copied().collect();
+        for policy in [DegradationPolicy::Strict, DegradationPolicy::BestEffort] {
+            out.push_str(&format!("faults={faults:?} policy={policy:?}\n"));
+            for u in 0..n {
+                for v in u..n {
+                    match sp.find_path_avoiding_with_policy(&m, u, v, &faulty, policy) {
+                        Ok(FtPath::Full(path)) => {
+                            out.push('F');
+                            push_path(&mut out, u, v, &path);
+                        }
+                        Ok(FtPath::Degraded {
+                            path,
+                            reason,
+                            achieved_stretch,
+                        }) => {
+                            out.push_str(&format!(
+                                "D {reason:?} {:016x} ",
+                                achieved_stretch.to_bits()
+                            ));
+                            push_path(&mut out, u, v, &path);
+                        }
+                        Err(e) => out.push_str(&format!("E {u} {v}: {e}\n")),
+                    }
+                }
+            }
+        }
+    }
+    fnv1a(out.as_bytes())
+}
+
 #[test]
 fn all_pairs_paths_match_pre_refactor_hashes() {
     let tree = hash_tree_workload();
     let doubling = hash_doubling_workload();
     let ramsey = hash_ramsey_workload();
+    let ft = hash_ft_workload();
     if std::env::var("HOPSPAN_GOLDEN_PRINT").is_ok() {
         println!("const GOLDEN_TREE: u64 = 0x{tree:016x};");
         println!("const GOLDEN_DOUBLING: u64 = 0x{doubling:016x};");
         println!("const GOLDEN_RAMSEY: u64 = 0x{ramsey:016x};");
+        println!("const GOLDEN_FT: u64 = 0x{ft:016x};");
         return;
     }
     assert_eq!(
@@ -136,5 +187,10 @@ fn all_pairs_paths_match_pre_refactor_hashes() {
         ramsey, GOLDEN_RAMSEY,
         "ramsey workload paths drifted from the pre-refactor golden hash \
          (got 0x{ramsey:016x})"
+    );
+    assert_eq!(
+        ft, GOLDEN_FT,
+        "fault-tolerant workload outcomes drifted from the golden hash \
+         (got 0x{ft:016x})"
     );
 }
