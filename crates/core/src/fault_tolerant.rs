@@ -23,7 +23,9 @@ use crate::navigation::NavTree;
 use crate::NavigationError;
 
 /// An f-fault-tolerant `(1+O(ε))`-spanner with hop-diameter `k` for a
-/// doubling metric, with fault-tolerant O(k)-time navigation.
+/// doubling metric, with fault-tolerant navigation. A query scans every
+/// distinct tree of the robust cover (repeated trees are dropped at
+/// build time), so it takes O(ζ'·k) time for ζ' distinct trees.
 ///
 /// # Examples
 ///
@@ -56,8 +58,19 @@ pub struct FaultTolerantSpanner {
 #[derive(Debug)]
 struct FtTree {
     nav: NavTree,
-    /// `R(v)`: candidate points per tree vertex (≤ f+1 descendant leaves).
-    candidates: Vec<Vec<usize>>,
+    /// `R(v)` for every tree vertex `v`, flat:
+    /// `cand[cand_off[v]..cand_off[v + 1]]` holds its ≤ f+1 candidate
+    /// points (see [`push_candidates`]).
+    cand_off: Vec<u32>,
+    cand: Vec<u32>,
+}
+
+impl FtTree {
+    /// `R(v)`: the candidate points of tree vertex `v`.
+    #[inline]
+    fn candidates(&self, v: usize) -> &[u32] {
+        &self.cand[self.cand_off[v] as usize..self.cand_off[v + 1] as usize]
+    }
 }
 
 /// How the fault-tolerant query path behaves outside the §6 contract
@@ -226,22 +239,33 @@ impl From<hopspan_pipeline::PipelineError> for FtError {
     }
 }
 
-/// `R(v)`: the vertex's associated point first (the robust-cover anchor,
-/// which is always a descendant leaf), then up to `f` other distinct
-/// descendant-leaf points.
-fn candidate_points(dom: &hopspan_tree_cover::DominatingTree, v: usize, f: usize) -> Vec<usize> {
-    let anchor = dom.point_of(v);
-    let mut out = vec![anchor];
+/// Narrows a point id or a per-tree candidate offset to the flat `u32`
+/// layout of [`FtTree`].
+fn narrow(x: usize) -> u32 {
+    // hopspan:allow(panic-in-lib) -- point ids and one tree's ≤ (f+1)·|T| candidates stay far below 2³² for any instance that fits in memory
+    u32::try_from(x).expect("candidate table fits u32")
+}
+
+/// Appends `R(v)` to `cand`: the vertex's associated point first (the
+/// robust-cover anchor, which is always a descendant leaf), then up to
+/// `f` other distinct descendant-leaf points.
+fn push_candidates(
+    dom: &hopspan_tree_cover::DominatingTree,
+    v: usize,
+    f: usize,
+    cand: &mut Vec<u32>,
+) {
+    let start = cand.len();
+    cand.push(narrow(dom.point_of(v)));
     for &leaf in dom.descendant_leaves(v) {
-        if out.len() > f {
+        if cand.len() - start > f {
             break;
         }
-        let p = dom.point_of(leaf);
-        if !out.contains(&p) {
-            out.push(p);
+        let p = narrow(dom.point_of(leaf));
+        if !cand[start..].contains(&p) {
+            cand.push(p);
         }
     }
-    out
 }
 
 impl FaultTolerantSpanner {
@@ -293,8 +317,11 @@ impl FaultTolerantSpanner {
         let mut stats = BuildStats::new(workers);
         let (cover, cover_stats) = RobustTreeCover::new_with_stats(metric, eps, Some(workers))?;
         stats.absorb("cover", cover_stats);
-        stats.tree_count = 0;
-        let doms = cover.into_cover().into_trees();
+        // A repeated tree gives exactly the paths, candidates and
+        // weights of its first occurrence, so it can never win the
+        // first-strict-minimum scan below, and its bicliques add no
+        // edge: drop it before it is built, stored or scanned.
+        let doms = stats.phase("dedup", || cover.into_cover().into_distinct_trees());
         // Per-tree spanner + candidate sets + biclique point pairs, in
         // parallel; metric access happens only in the sequential
         // materialization below, where distances are attached to the
@@ -303,20 +330,31 @@ impl FaultTolerantSpanner {
             hopspan_pipeline::try_parallel_map_owned(workers, doms, |_, dom| {
                 let nav = NavTree::new(dom, k)?;
                 let m = nav.dom.tree().len();
-                let candidates: Vec<Vec<usize>> =
-                    (0..m).map(|v| candidate_points(&nav.dom, v, f)).collect();
+                let mut cand_off = Vec::with_capacity(m + 1);
+                let mut cand = Vec::new();
+                cand_off.push(0);
+                for v in 0..m {
+                    push_candidates(&nav.dom, v, f, &mut cand);
+                    cand_off.push(narrow(cand.len()));
+                }
+                let t = FtTree {
+                    nav,
+                    cand_off,
+                    cand,
+                };
                 // Bicliques R(u) × R(v) over the tree-spanner edges.
                 let mut pairs = Vec::new();
-                for &(a, b, _) in nav.spanner.edges() {
-                    for &pa in &candidates[a] {
-                        for &pb in &candidates[b] {
+                for &(a, b, _) in t.nav.spanner.edges() {
+                    for &pa in t.candidates(a) {
+                        for &pb in t.candidates(b) {
                             if pa != pb {
+                                let (pa, pb) = (pa as usize, pb as usize);
                                 pairs.push((pa.min(pb), pa.max(pb)));
                             }
                         }
                     }
                 }
-                Ok((FtTree { nav, candidates }, pairs))
+                Ok((t, pairs))
             })
             .map_err(NavigationError::Pipeline)?
             .into_iter()
@@ -393,7 +431,9 @@ impl FaultTolerantSpanner {
         self.edges.len()
     }
 
-    /// Number of cover trees.
+    /// Number of distinct cover trees ζ' the spanner keeps and every
+    /// query scans (at most the robust cover's ζ; see
+    /// [`hopspan_tree_cover::TreeCover::into_distinct_trees`]).
     #[inline]
     pub fn tree_count(&self) -> usize {
         self.trees.len()
@@ -566,14 +606,13 @@ impl FaultTolerantSpanner {
                     scratch[i] = v;
                     continue;
                 }
-                let tv = scratch[i];
-                let cand = &t.candidates[tv];
+                let cand = t.candidates(scratch[i]);
                 // Any non-faulty candidate is valid (robustness); pick the
                 // one closest to the previous path point to keep the
                 // realized constant small.
                 let pick = cand
                     .iter()
-                    .copied()
+                    .map(|&p| p as usize)
                     .filter(|p| !faulty.contains(p))
                     .min_by(|&a, &b| {
                         metric
@@ -590,7 +629,11 @@ impl FaultTolerantSpanner {
                         // Candidate sets smaller than f+1 hold only
                         // ancestors of u or v; fall back to the endpoints.
                         if cand.len() <= self.f {
-                            let fallback = if cand.contains(&u) { u } else { v };
+                            let fallback = if cand.iter().any(|&p| p as usize == u) {
+                                u
+                            } else {
+                                v
+                            };
                             scratch[i] = fallback;
                             prev = fallback;
                         } else {
@@ -769,10 +812,8 @@ mod tests {
         let sp = FaultTolerantSpanner::new(&m, 0.25, f, 2).unwrap();
         let mut frequency = [0usize; 24];
         for t in &sp.trees {
-            for cand in &t.candidates {
-                for &p in cand {
-                    frequency[p] += 1;
-                }
+            for &p in &t.cand {
+                frequency[p as usize] += 1;
             }
         }
         let mut by_freq: Vec<usize> = (0..24).collect();

@@ -586,9 +586,9 @@ pub struct ShardedNavigator {
     metrics: Arc<ServeMetrics>,
     cfg: ServeConfig,
     workers: Vec<JoinHandle<()>>,
-    /// Whether shards are independent replicas (failover can re-route
-    /// a `Down` shard's requests) or share one backend (failover
-    /// answers inline instead).
+    /// Whether failover re-routes a `Down` shard's requests to a live
+    /// shard (the replicated layouts) or answers them inline instead
+    /// (`shared`, `dynamic`).
     replicated: bool,
     /// State shared with the respawn supervisor thread.
     sup: Arc<SupervisorShared>,
@@ -631,10 +631,12 @@ fn request_respawn(sup: &SupervisorShared, shard: u32) {
 }
 
 impl ShardedNavigator {
-    /// Builds `cfg.shards` independent backend replicas of `points`
-    /// and starts the worker pools. Replica builds are deterministic,
-    /// so all replicas are bit-identical; the replication buys
-    /// isolation (per-shard queues and workers), not divergence.
+    /// Builds the backend for `points` once and starts `cfg.shards`
+    /// worker pools over it. Backend builds are deterministic, so
+    /// separately built replicas would be bit-identical; every shard
+    /// holds the one immutable build instead, and the replication buys
+    /// isolation (per-shard queues and workers), not divergence. The
+    /// engine keeps replicated failover semantics.
     ///
     /// # Errors
     ///
@@ -646,18 +648,17 @@ impl ShardedNavigator {
         cfg: ServeConfig,
     ) -> Result<Self, BuildError> {
         validate(&cfg)?;
-        let mut backends = Vec::with_capacity(cfg.shards);
-        for _ in 0..cfg.shards {
-            backends.push(Arc::new(Backend::build(points, params)?));
-        }
+        let backend = Arc::new(Backend::build(points, params)?);
+        let backends = (0..cfg.shards).map(|_| Arc::clone(&backend)).collect();
         Self::from_backends(backends, cfg, true)
     }
 
     /// Starts the service with every shard serving the same shared
     /// backend. Query structures are immutable after construction, so
-    /// sharing a replica across shards is safe and trades the
-    /// replicated memory footprint for none of the queue/worker
-    /// isolation.
+    /// sharing one across shards is safe and keeps the queue/worker
+    /// isolation. Unlike [`ShardedNavigator::replicated`], failover
+    /// answers a `Down` shard's requests inline instead of re-routing
+    /// them.
     ///
     /// # Errors
     ///

@@ -1,6 +1,8 @@
 //! Dominating trees and tree covers (paper §1.2 definitions).
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 use hopspan_metric::Metric;
 use hopspan_treealg::{Lca, RootedTree};
@@ -280,6 +282,34 @@ impl DominatingTree {
         Ok(())
     }
 
+    /// Hash of the root, the parent pointers, the edge weights (as
+    /// bits) and the vertex points.
+    fn structure_hash(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.tree.root().hash(&mut h);
+        for v in 0..self.tree.len() {
+            self.tree.parent(v).hash(&mut h);
+            self.tree.parent_weight(v).to_bits().hash(&mut h);
+        }
+        self.point_of.hash(&mut h);
+        h.finish()
+    }
+
+    /// Whether `other` has the same root, parent pointers, edge weight
+    /// bits, vertex points and child order, i.e. is the same tree vertex
+    /// for vertex. Every other field is derived from these (the child
+    /// order fixes the descendant-leaf order).
+    fn same_structure(&self, other: &DominatingTree) -> bool {
+        let (a, b) = (&self.tree, &other.tree);
+        a.root() == b.root()
+            && self.point_of == other.point_of
+            && (0..a.len()).all(|v| {
+                a.parent(v) == b.parent(v)
+                    && a.parent_weight(v).to_bits() == b.parent_weight(v).to_bits()
+                    && a.children(v) == b.children(v)
+            })
+    }
+
     /// Checks domination: `δ_T(p, q) ≥ δ_X(p, q)` for all covered pairs.
     ///
     /// # Errors
@@ -403,6 +433,28 @@ impl TreeCover {
     /// Consumes the cover and returns its trees.
     pub fn into_trees(self) -> Vec<DominatingTree> {
         self.trees
+    }
+
+    /// Consumes the cover and returns its distinct trees: a tree equal
+    /// vertex for vertex to an earlier one (same root, parent pointers,
+    /// edge weight bits, vertex points and child order) is dropped, and
+    /// the first occurrences keep their original order. A copy yields
+    /// exactly the distances, paths and candidate sets of its first
+    /// occurrence, so a scan that keeps the first strict minimum answers
+    /// the same over the result. Trees are bucketed by hash and every
+    /// match is confirmed exactly; O(total tree vertices) expected time.
+    pub fn into_distinct_trees(self) -> Vec<DominatingTree> {
+        let mut kept: Vec<DominatingTree> = Vec::with_capacity(self.trees.len());
+        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
+        for t in self.trees {
+            let bucket = by_hash.entry(t.structure_hash()).or_default();
+            if bucket.iter().any(|&i| kept[i].same_structure(&t)) {
+                continue;
+            }
+            bucket.push(kept.len());
+            kept.push(t);
+        }
+        kept
     }
 }
 
@@ -535,6 +587,50 @@ mod tests {
         assert!((d - 2.0).abs() < 1e-12);
         cover.validate(&m).unwrap();
         assert!(cover.measured_stretch(&m) <= 2.0 + 1e-9);
+    }
+
+    #[test]
+    fn into_distinct_trees_keeps_first_occurrences_in_order() {
+        let m = line3();
+        let star_at = |c: usize, scale: f64| {
+            let mut asm = TreeAssembler::new();
+            let root = asm.add(c);
+            for p in 0..3 {
+                let leaf = asm.add(p);
+                asm.attach(leaf, root, scale * m.dist(c, p));
+            }
+            asm.finish(root, 3)
+        };
+        // The star at 0 again, with its leaves in the opposite child
+        // order: same parents and weights, different leaf order.
+        let star_at_0_reversed = || {
+            let edges: Vec<(usize, usize, f64)> =
+                (1..4).rev().map(|v| (0, v, m.dist(0, v - 1))).collect();
+            let tree = RootedTree::from_edges(4, 0, &edges).unwrap();
+            DominatingTree::new(tree, vec![0, 0, 1, 2], 3)
+        };
+        // Copies of the stars at 0 and 2, plus near-copies of the star
+        // at 0 that differ in one weight's bits or in child order.
+        let cover = TreeCover::new(vec![
+            star_at(0, 1.0),
+            star_at(2, 1.0),
+            star_at(0, 1.0),
+            star_at(1, 1.0),
+            star_at(2, 1.0),
+            star_at(0, 1.0 + f64::EPSILON),
+            star_at_0_reversed(),
+            star_at(0, 1.0),
+        ]);
+        let distinct = cover.into_distinct_trees();
+        let roots: Vec<usize> = distinct
+            .iter()
+            .map(|t| t.point_of(t.tree().root()))
+            .collect();
+        assert_eq!(roots, vec![0, 2, 1, 0, 0]);
+        assert!(distinct[0].same_structure(&star_at(0, 1.0)));
+        assert!(distinct[3].same_structure(&star_at(0, 1.0 + f64::EPSILON)));
+        assert!(distinct[4].same_structure(&star_at_0_reversed()));
+        assert!(!distinct[4].same_structure(&star_at(0, 1.0)));
     }
 
     #[test]
