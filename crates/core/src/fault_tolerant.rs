@@ -16,8 +16,8 @@ use std::fmt;
 
 use hopspan_metric::Metric;
 use hopspan_pipeline::BuildStats;
-use hopspan_tree_cover::RobustTreeCover;
-use hopspan_tree_spanner::TreeSpannerError;
+use hopspan_tree_cover::{DominatingTree, RobustTreeCover};
+use hopspan_tree_spanner::{TreeHopSpanner, TreeSpannerError};
 
 use crate::navigation::NavTree;
 use crate::NavigationError;
@@ -26,6 +26,13 @@ use crate::NavigationError;
 /// doubling metric, with fault-tolerant navigation. A query scans every
 /// distinct tree of the robust cover (repeated trees are dropped at
 /// build time), so it takes O(ζ'·k) time for ζ' distinct trees.
+///
+/// Each distinct tree keeps only what the query reads: its Theorem 1.1
+/// tree spanner (the navigation structure over its leaves), a `u32`
+/// point → leaf table, and the `R(v)` candidate sets as one `u32` CSR
+/// pair. The cover tree itself (its LCA table, child lists and
+/// descendant-leaf spans) is dropped once the candidates and the
+/// biclique edges are derived from it.
 ///
 /// # Examples
 ///
@@ -57,7 +64,11 @@ pub struct FaultTolerantSpanner {
 
 #[derive(Debug)]
 struct FtTree {
-    nav: NavTree,
+    /// Theorem 1.1 k-hop 1-spanner over the tree's leaves.
+    spanner: TreeHopSpanner,
+    /// Point → its leaf vertex (`u32::MAX` if the tree does not cover
+    /// the point), one entry per metric point.
+    leaf_of: Vec<u32>,
     /// `R(v)` for every tree vertex `v`, flat:
     /// `cand[cand_off[v]..cand_off[v + 1]]` holds its ≤ f+1 candidate
     /// points (see [`push_candidates`]).
@@ -66,10 +77,68 @@ struct FtTree {
 }
 
 impl FtTree {
+    /// Builds the per-tree spanner and candidate sets, and returns the
+    /// biclique point pairs `R(u) × R(v)` over the spanner edges; `dom`
+    /// is dropped here.
+    fn build(
+        dom: DominatingTree,
+        n: usize,
+        f: usize,
+        k: usize,
+    ) -> Result<(Self, Vec<(u32, u32)>), TreeSpannerError> {
+        let NavTree { dom, spanner } = NavTree::new(dom, k)?;
+        let m = dom.tree().len();
+        let mut cand_off = Vec::with_capacity(m + 1);
+        let mut cand = Vec::new();
+        cand_off.push(0);
+        for v in 0..m {
+            push_candidates(&dom, v, f, &mut cand);
+            cand_off.push(narrow(cand.len()));
+        }
+        let leaf_of = (0..n)
+            .map(|p| dom.leaf_of(p).map_or(u32::MAX, narrow))
+            .collect();
+        let t = FtTree {
+            spanner,
+            leaf_of,
+            cand_off,
+            cand,
+        };
+        let mut pairs = Vec::new();
+        for &(a, b, _) in t.spanner.edges() {
+            for &pa in t.candidates(a) {
+                for &pb in t.candidates(b) {
+                    if pa != pb {
+                        pairs.push((pa.min(pb), pa.max(pb)));
+                    }
+                }
+            }
+        }
+        Ok((t, pairs))
+    }
+
     /// `R(v)`: the candidate points of tree vertex `v`.
     #[inline]
     fn candidates(&self, v: usize) -> &[u32] {
         &self.cand[self.cand_off[v] as usize..self.cand_off[v + 1] as usize]
+    }
+
+    /// The k-hop tree-vertex path between the leaves of points `p` and
+    /// `q`, written into `out` (cleared first); returns whether the tree
+    /// covers both points.
+    fn tree_vertex_path_into(
+        &self,
+        p: usize,
+        q: usize,
+        out: &mut Vec<usize>,
+    ) -> Result<bool, TreeSpannerError> {
+        let (a, b) = (self.leaf_of[p], self.leaf_of[q]);
+        if a == u32::MAX || b == u32::MAX {
+            out.clear();
+            return Ok(false);
+        }
+        self.spanner.find_path_into(a as usize, b as usize, out)?;
+        Ok(true)
     }
 }
 
@@ -239,22 +308,17 @@ impl From<hopspan_pipeline::PipelineError> for FtError {
     }
 }
 
-/// Narrows a point id or a per-tree candidate offset to the flat `u32`
-/// layout of [`FtTree`].
+/// Narrows a point id, a tree vertex id or a per-tree candidate offset
+/// to the flat `u32` layout of [`FtTree`].
 fn narrow(x: usize) -> u32 {
-    // hopspan:allow(panic-in-lib) -- point ids and one tree's ≤ (f+1)·|T| candidates stay far below 2³² for any instance that fits in memory
-    u32::try_from(x).expect("candidate table fits u32")
+    // hopspan:allow(panic-in-lib) -- point ids, tree vertex ids and one tree's ≤ (f+1)·|T| candidates stay far below 2³² for any instance that fits in memory
+    u32::try_from(x).expect("FT tree table fits u32")
 }
 
 /// Appends `R(v)` to `cand`: the vertex's associated point first (the
 /// robust-cover anchor, which is always a descendant leaf), then up to
 /// `f` other distinct descendant-leaf points.
-fn push_candidates(
-    dom: &hopspan_tree_cover::DominatingTree,
-    v: usize,
-    f: usize,
-    cand: &mut Vec<u32>,
-) {
+fn push_candidates(dom: &DominatingTree, v: usize, f: usize, cand: &mut Vec<u32>) {
     let start = cand.len();
     cand.push(narrow(dom.point_of(v)));
     for &leaf in dom.descendant_leaves(v) {
@@ -326,46 +390,17 @@ impl FaultTolerantSpanner {
         // parallel; metric access happens only in the sequential
         // materialization below, where distances are attached to the
         // deduplicated pairs in tree order.
-        let built: Vec<(FtTree, Vec<(usize, usize)>)> = stats.phase("spanners", || {
+        let built: Vec<(FtTree, Vec<(u32, u32)>)> = stats.phase("spanners", || {
             hopspan_pipeline::try_parallel_map_owned(workers, doms, |_, dom| {
-                let nav = NavTree::new(dom, k)?;
-                let m = nav.dom.tree().len();
-                let mut cand_off = Vec::with_capacity(m + 1);
-                let mut cand = Vec::new();
-                cand_off.push(0);
-                for v in 0..m {
-                    push_candidates(&nav.dom, v, f, &mut cand);
-                    cand_off.push(narrow(cand.len()));
-                }
-                let t = FtTree {
-                    nav,
-                    cand_off,
-                    cand,
-                };
-                // Bicliques R(u) × R(v) over the tree-spanner edges.
-                let mut pairs = Vec::new();
-                for &(a, b, _) in t.nav.spanner.edges() {
-                    for &pa in t.candidates(a) {
-                        for &pb in t.candidates(b) {
-                            if pa != pb {
-                                let (pa, pb) = (pa as usize, pb as usize);
-                                pairs.push((pa.min(pb), pa.max(pb)));
-                            }
-                        }
-                    }
-                }
-                Ok((t, pairs))
+                FtTree::build(dom, n, f, k)
             })
             .map_err(NavigationError::Pipeline)?
             .into_iter()
-            .collect::<Result<_, hopspan_tree_spanner::TreeSpannerError>>()
+            .collect::<Result<_, TreeSpannerError>>()
             .map_err(NavigationError::Spanner)
         })?;
         stats.tree_count = built.len();
-        stats.per_tree_spanner_edges = built
-            .iter()
-            .map(|(t, _)| t.nav.spanner.edges().len())
-            .collect();
+        stats.per_tree_spanner_edges = built.iter().map(|(t, _)| t.spanner.edges().len()).collect();
         // The BTreeMap leaves the dedup'd edge list sorted by (u, v)
         // regardless of insertion order — part of the bit-identical
         // build guarantee.
@@ -375,10 +410,9 @@ impl FaultTolerantSpanner {
             let mut trees = Vec::with_capacity(built.len());
             for (t, pairs) in built {
                 instances += pairs.len();
-                for key in pairs {
-                    edge_set
-                        .entry(key)
-                        .or_insert_with(|| metric.dist(key.0, key.1));
+                for (a, b) in pairs {
+                    let (a, b) = (a as usize, b as usize);
+                    edge_set.entry((a, b)).or_insert_with(|| metric.dist(a, b));
                 }
                 trees.push(t);
             }
@@ -579,7 +613,6 @@ impl FaultTolerantSpanner {
         let mut covered = false;
         for t in &self.trees {
             if !t
-                .nav
                 .tree_vertex_path_into(u, v, scratch)
                 .map_err(FtError::Spanner)?
             {

@@ -90,11 +90,16 @@ pub(crate) struct PhiNode {
     pub inner: Vec<usize>,
     /// All-pairs path table (`HandleBaseCase` leaves only).
     pub base: Option<BaseTable>,
-    /// Contracted tree (`k ≥ 3`, non-base nodes).
-    pub contracted: Option<Contracted>,
+    /// Contracted tree (`k ≥ 3`, non-base nodes), boxed: most Φ nodes
+    /// are base-case leaves and should not reserve its inline size.
+    pub contracted: Option<Box<Contracted>>,
     /// Sub-navigator for the `(k-2)`-construction (`k ≥ 4`, non-base).
     pub sub: Option<Box<Navigator>>,
 }
+
+// Every Φ node of every tree pays this size, and most are base-case
+// leaves: keep the optional parts boxed.
+const _: () = assert!(std::mem::size_of::<PhiNode>() <= 128);
 
 impl PhiNode {
     /// Whether this node is a `HandleBaseCase` leaf.
@@ -315,14 +320,14 @@ fn build_call(
         } else {
             Vec::new()
         };
-        b.nodes[beta].contracted = Some(Contracted {
+        b.nodes[beta].contracted = Some(Box::new(Contracted {
             tree: ct_tree,
             lca,
             la,
             rep_count: p,
             cut_orig,
             cut_sub_home,
-        });
+        }));
     }
     b.nodes[beta].sub = sub;
     Some(beta)

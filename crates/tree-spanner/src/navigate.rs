@@ -59,7 +59,7 @@ impl Navigator {
         }
         let ct = node
             .contracted
-            .as_ref()
+            .as_deref()
             // hopspan:allow(panic-in-lib) -- build_call always attaches a contracted tree for k ≥ 3
             .expect("non-base node with k >= 3 has a contracted tree");
         let u_cv = self.locate_contracted(u.node, u.slot, beta, ct);

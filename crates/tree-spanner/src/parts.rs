@@ -307,14 +307,14 @@ impl PhiNodeParts {
                 }
                 let lca = Lca::new(&tree);
                 let la = LevelAncestor::new(&tree);
-                Some(Contracted {
+                Some(Box::new(Contracted {
                     tree,
                     lca,
                     la,
                     rep_count: c.rep_count,
                     cut_orig: c.cut_orig.clone(),
                     cut_sub_home: c.cut_sub_home.clone(),
-                })
+                }))
             }
         };
         Ok(PhiNode {

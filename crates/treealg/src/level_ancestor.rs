@@ -7,9 +7,16 @@
 //! levels with one table lookup; the vertex reached has height at least the
 //! remaining distance, so its ladder contains the answer.
 
-use crate::RootedTree;
+use crate::lca::floor_log2;
+use crate::{word, RootedTree};
 
 /// Constant-time level-ancestor queries on a [`RootedTree`].
+///
+/// Every table entry is a `u32` word (a vertex id, depth or ladder
+/// index): `n` depths, `n·(⌊log₂ D⌋ + 1)` jump pointers for maximum
+/// depth `D`, at most `2n` ladder entries and `n` ladder positions.
+/// Trees of up to 2³¹ vertices are supported; larger ones may make
+/// [`LevelAncestor::new`] panic.
 ///
 /// # Examples
 ///
@@ -27,23 +34,28 @@ use crate::RootedTree;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LevelAncestor {
-    depth: Vec<usize>,
-    /// Binary lifting: `jump[j][v]` = ancestor of `v` at distance `2^j`
-    /// (or the root if shallower).
-    jump: Vec<Vec<usize>>,
-    /// `ladder_id[v]`, `ladder_pos[v]`: which ladder contains `v` and at
-    /// which index; ladders are stored root-end first.
-    ladder_id: Vec<usize>,
-    ladder_pos: Vec<usize>,
-    ladders: Vec<Vec<usize>>,
-    log2: Vec<usize>,
+    /// Depth of each vertex.
+    depth: Vec<u32>,
+    /// Binary lifting, row-major with stride `n`: `jump[j·n + v]` is the
+    /// ancestor of `v` at distance `2^j` (or the root if shallower).
+    jump: Vec<u32>,
+    /// Every ladder, concatenated; each is stored root-end first.
+    ladders: Vec<u32>,
+    /// `ladders[ladder_at[v]]` is `v` itself, inside the ladder of the
+    /// long path that contains `v`.
+    ladder_at: Vec<u32>,
 }
 
 impl LevelAncestor {
     /// Preprocesses `tree` in O(n log n) time for O(1) queries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a table index outgrows a `u32`, which takes a tree of
+    /// more than 2³¹ vertices.
     pub fn new(tree: &RootedTree) -> Self {
         let n = tree.len();
-        let depth: Vec<usize> = (0..n).map(|v| tree.depth(v)).collect();
+        let depth: Vec<u32> = (0..n).map(|v| word(tree.depth(v))).collect();
         // Heights via reverse preorder (children before parents).
         let mut height = vec![0usize; n];
         for &v in tree.preorder().iter().rev() {
@@ -66,9 +78,11 @@ impl LevelAncestor {
             }
             tallest_child[v] = best;
         }
-        let mut ladder_id = vec![usize::MAX; n];
-        let mut ladder_pos = vec![0usize; n];
-        let mut ladders: Vec<Vec<usize>> = Vec::new();
+        // Ladders total at most 2n entries: each path of length ℓ adds
+        // itself plus at most ℓ ancestors above its head.
+        let mut ladders: Vec<u32> = Vec::with_capacity(2 * n);
+        let mut ladder_at = vec![0u32; n];
+        let mut path = Vec::new();
         for &v in tree.preorder() {
             let is_path_head = match tree.parent(v) {
                 None => true,
@@ -78,7 +92,7 @@ impl LevelAncestor {
                 continue;
             }
             // Collect the long path downward from v.
-            let mut path = Vec::new();
+            path.clear();
             let mut cur = v;
             loop {
                 path.push(cur);
@@ -89,59 +103,46 @@ impl LevelAncestor {
                 cur = next;
             }
             // Extend upward by |path| vertices to form the ladder.
-            let len = path.len();
-            let mut top = Vec::new();
+            let start = ladders.len();
             let mut up = tree.parent(v);
-            for _ in 0..len {
+            for _ in 0..path.len() {
                 match up {
                     Some(u) => {
-                        top.push(u);
+                        ladders.push(word(u));
                         up = tree.parent(u);
                     }
                     None => break,
                 }
             }
-            top.reverse();
-            let offset = top.len();
-            let id = ladders.len();
-            let mut ladder = top;
-            ladder.extend_from_slice(&path);
-            // Only the path's own vertices point at this ladder; the
+            ladders[start..].reverse();
+            // Only the path's own vertices point into this ladder; the
             // extension vertices belong to their own paths.
-            for (i, &u) in path.iter().enumerate() {
-                ladder_id[u] = id;
-                ladder_pos[u] = offset + i;
+            for &u in &path {
+                ladder_at[u] = word(ladders.len());
+                ladders.push(word(u));
             }
-            ladders.push(ladder);
         }
         // Binary lifting.
-        let max_depth = depth.iter().copied().max().unwrap_or(0);
-        let mut log2 = vec![0usize; max_depth.max(1) + 1];
-        for i in 2..log2.len() {
-            log2[i] = log2[i / 2] + 1;
-        }
+        let max_depth = depth.iter().copied().max().unwrap_or(0) as usize;
         let levels = if max_depth == 0 {
             1
         } else {
-            log2[max_depth] + 1
+            floor_log2(max_depth) + 1
         };
-        let mut jump = Vec::with_capacity(levels);
-        let first: Vec<usize> = (0..n)
-            .map(|v| tree.parent(v).unwrap_or(tree.root()))
-            .collect();
-        jump.push(first);
+        let mut jump = Vec::with_capacity(levels * n);
+        jump.extend((0..n).map(|v| word(tree.parent(v).unwrap_or(tree.root()))));
         for j in 1..levels {
-            let prev = &jump[j - 1];
-            let row: Vec<usize> = (0..n).map(|v| prev[prev[v]]).collect();
-            jump.push(row);
+            let prev = (j - 1) * n;
+            for v in 0..n {
+                let half = jump[prev + v] as usize;
+                jump.push(jump[prev + half]);
+            }
         }
         LevelAncestor {
             depth,
             jump,
-            ladder_id,
-            ladder_pos,
             ladders,
-            log2,
+            ladder_at,
         }
     }
 
@@ -153,26 +154,20 @@ impl LevelAncestor {
     /// Panics if `d > depth(v)` or `v` is out of range.
     #[inline]
     pub fn level_ancestor(&self, v: usize, d: usize) -> usize {
-        let dv = self.depth[v];
+        let dv = self.depth[v] as usize;
         assert!(d <= dv, "requested depth {d} below vertex depth {dv}");
         let delta = dv - d;
         if delta == 0 {
             return v;
         }
-        let j = self.log2[delta];
-        let u = self.jump[j][v];
-        // u is at depth dv - 2^j; the remainder is < 2^j ≤ height coverage
-        // of u's ladder.
-        let ladder = &self.ladders[self.ladder_id[u]];
-        let pos = self.ladder_pos[u];
-        let remaining = self.depth[u] - d;
-        debug_assert!(
-            pos >= remaining,
-            "ladder too short: {} < {}",
-            pos,
-            remaining
-        );
-        ladder[pos - remaining]
+        let j = floor_log2(delta);
+        let u = self.jump[j * self.depth.len() + v] as usize;
+        // u is at depth dv - 2^j; the remainder is < 2^j ≤ the height of
+        // u, which its ladder extends above it.
+        let remaining = self.depth[u] as usize - d;
+        let a = self.ladders[self.ladder_at[u] as usize - remaining] as usize;
+        debug_assert_eq!(self.depth[a] as usize, d, "ladder too short");
+        a
     }
 
     /// The ancestor `u` of `v` with `depth(v) - depth(u) = steps`.
@@ -182,7 +177,7 @@ impl LevelAncestor {
     /// Panics if `steps > depth(v)`.
     #[inline]
     pub fn ancestor_at_distance(&self, v: usize, steps: usize) -> usize {
-        self.level_ancestor(v, self.depth[v] - steps)
+        self.level_ancestor(v, self.depth[v] as usize - steps)
     }
 
     /// The child of `a` on the path from `a` down to its descendant `d`.
@@ -193,7 +188,7 @@ impl LevelAncestor {
     #[inline]
     pub fn child_toward(&self, a: usize, d: usize) -> usize {
         assert!(self.depth[d] > self.depth[a], "a must be a strict ancestor");
-        self.level_ancestor(d, self.depth[a] + 1)
+        self.level_ancestor(d, self.depth[a] as usize + 1)
     }
 }
 
@@ -201,18 +196,22 @@ impl LevelAncestor {
 mod tests {
     use super::*;
 
-    fn naive_la(tree: &RootedTree, mut v: usize, d: usize) -> usize {
-        while tree.depth(v) > d {
-            v = tree.parent(v).unwrap();
-        }
-        v
-    }
-
+    /// Compares every `(v, d)` query against the root path of `v`,
+    /// found by walking parent pointers once per vertex.
     fn check_all(tree: &RootedTree) {
         let la = LevelAncestor::new(tree);
+        let mut root_path = Vec::new();
         for v in 0..tree.len() {
-            for d in 0..=tree.depth(v) {
-                assert_eq!(la.level_ancestor(v, d), naive_la(tree, v, d), "v={v} d={d}");
+            root_path.clear();
+            let mut u = Some(v);
+            while let Some(x) = u {
+                root_path.push(x);
+                u = tree.parent(x);
+            }
+            root_path.reverse();
+            assert_eq!(root_path.len(), tree.depth(v) + 1);
+            for (d, &want) in root_path.iter().enumerate() {
+                assert_eq!(la.level_ancestor(v, d), want, "v={v} d={d}");
             }
         }
     }
@@ -271,6 +270,24 @@ mod tests {
             let edges: Vec<_> = (1..n).map(|v| ((next() as usize) % v, v, 1.0)).collect();
             check_all(&RootedTree::from_edges(n, 0, &edges).unwrap());
         }
+    }
+
+    #[test]
+    fn flat_layout_boundaries() {
+        // A single vertex: one jump row, one one-entry ladder.
+        check_all(&RootedTree::from_edges(1, 0, &[]).unwrap());
+        // A long path: one ladder holding every vertex, and the deepest
+        // jump row (2⁹ ≤ 999 < 2¹⁰).
+        let n = 1000;
+        let path: Vec<_> = (1..n).map(|v| (v - 1, v, 1.0)).collect();
+        check_all(&RootedTree::from_edges(n, 0, &path).unwrap());
+        // The same path rooted at its middle: two long ladders meeting
+        // at the root.
+        check_all(&RootedTree::from_edges(n, n / 2, &path).unwrap());
+        // A star: the root's path plus n − 2 leaf ladders of one path
+        // vertex and one extension vertex each.
+        let star: Vec<_> = (1..n).map(|v| (0, v, 1.0)).collect();
+        check_all(&RootedTree::from_edges(n, 0, &star).unwrap());
     }
 
     #[test]

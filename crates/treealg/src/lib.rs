@@ -41,3 +41,10 @@ pub use labeling::DistanceLabeling;
 pub use lca::Lca;
 pub use level_ancestor::LevelAncestor;
 pub use tree::{RootedTree, TreeBuildError};
+
+/// Narrows a vertex id, depth or table index to the `u32` word of the
+/// flat [`Lca`] and [`LevelAncestor`] tables.
+fn word(x: usize) -> u32 {
+    // hopspan:allow(panic-in-lib) -- the documented vertex-count limit of Lca and LevelAncestor; trees that large do not fit in memory next to their tables
+    u32::try_from(x).expect("tree too large for u32 navigation tables")
+}
