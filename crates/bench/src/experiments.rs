@@ -1,7 +1,7 @@
 //! The experiment suite: one function per paper artifact (DESIGN.md §3).
 //!
 //! Each function returns a self-contained markdown section with the
-//! measured table and a short paper-vs-measured note; `exp_all`
+//! measured table and a short paper-vs-measured note; `exp all`
 //! concatenates them into `EXPERIMENTS.md`.
 
 use std::collections::HashSet;
@@ -33,6 +33,7 @@ use hopspan_treealg::RootedTree;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::report::{self, quantile, Obj};
 use crate::{md_table, ms, rng, time};
 
 /// One registered experiment: `(id, title, runner)`.
@@ -1248,11 +1249,7 @@ pub fn e21_parallel_build() -> String {
 /// `false` when the tree is gone (e.g. an installed binary) — "not
 /// checkable" must not read as "certified clean".
 fn workspace_lint_clean() -> bool {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the workspace root");
-    matches!(hopspan_lint::analyze_workspace(root), Ok(f) if f.is_empty())
+    matches!(hopspan_lint::analyze_workspace(report::workspace_root()), Ok(f) if f.is_empty())
 }
 
 // --------------------------------------------------------------- E22
@@ -1308,7 +1305,7 @@ struct E22Cell {
     qps: f64,
     p50_ns: u64,
     p99_ns: u64,
-    allocs_per_query: Option<f64>,
+    allocs_per_query: f64,
 }
 
 struct E22Cfg {
@@ -1321,7 +1318,7 @@ struct E22Cfg {
 
 impl E22Cfg {
     fn from_env() -> Self {
-        let smoke = std::env::var("HOPSPAN_E22_SMOKE").is_ok();
+        let smoke = report::smoke();
         if smoke {
             E22Cfg {
                 ns: vec![256],
@@ -1350,9 +1347,8 @@ fn e22_pairs(n: usize, count: usize, tag: u64) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Measures one query op over a fixed pair set: warm-up, batch
-/// throughput, per-query p50/p99, and (when a counting allocator is
-/// installed) allocations per query.
+/// Measures one query op over a fixed pair set: warm-up, allocations
+/// per query, batch throughput and per-query p50/p99.
 fn e22_measure(
     workload: &'static str,
     n: usize,
@@ -1366,16 +1362,11 @@ fn e22_measure(
     for &(u, v) in pairs.iter().take(2_000) {
         sink = sink.wrapping_add(f(u, v));
     }
-    // Allocations per query, only when a counting allocator is present.
-    let allocs_per_query = if crate::allocs::probe_active() {
-        let before = crate::allocs::count();
-        for &(u, v) in pairs {
-            sink = sink.wrapping_add(f(u, v));
-        }
-        Some((crate::allocs::count() - before) as f64 / pairs.len() as f64)
-    } else {
-        None
-    };
+    let before = crate::allocs::count();
+    for &(u, v) in pairs {
+        sink = sink.wrapping_add(f(u, v));
+    }
+    let allocs_per_query = (crate::allocs::count() - before) as f64 / pairs.len() as f64;
     // Batch throughput: whole passes over the pair set until the clock
     // budget is spent.
     let start = std::time::Instant::now();
@@ -1398,54 +1389,38 @@ fn e22_measure(
         lat.push(t0.elapsed().as_nanos() as u64);
     }
     lat.sort_unstable();
-    let p50_ns = lat[lat.len() / 2];
-    let p99_ns = lat[(lat.len() * 99 / 100).min(lat.len() - 1)];
     std::hint::black_box(sink);
     E22Cell {
         workload,
         n,
         op,
         qps,
-        p50_ns,
-        p99_ns,
+        p50_ns: quantile(&lat, 0.50),
+        p99_ns: quantile(&lat, 0.99),
         allocs_per_query,
     }
 }
 
-fn e22_json(cells: &[E22Cell], cfg: &E22Cfg, alloc_counter: bool) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"E22\",\n");
-    out.push_str(&format!("  \"seed\": \"{:#x}\",\n", crate::SEED));
-    out.push_str(&format!("  \"smoke\": {},\n", cfg.smoke));
-    out.push_str(&format!("  \"alloc_counter\": {alloc_counter},\n"));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
+fn e22_json(cells: &[E22Cell], cfg: &E22Cfg) -> String {
+    let rows = cells.iter().map(|c| {
         let baseline = e22_baseline_qps(c.workload, c.n, c.op);
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"n\": {}, \"op\": \"{}\", \
-             \"qps\": {:.0}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"allocs_per_query\": {}, \"baseline_qps\": {}, \
-             \"speedup\": {}}}{}\n",
-            c.workload,
-            c.n,
-            c.op,
-            c.qps,
-            c.p50_ns,
-            c.p99_ns,
-            c.allocs_per_query
-                .map_or_else(|| "null".into(), |a| format!("{a:.2}")),
-            baseline.map_or_else(|| "null".into(), |b| format!("{b:.0}")),
-            baseline.map_or_else(|| "null".into(), |b| format!("{:.2}", c.qps / b)),
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        Obj::default()
+            .str("workload", c.workload)
+            .raw("n", c.n)
+            .str("op", c.op)
+            .fixed("qps", c.qps, 0)
+            .raw("p50_ns", c.p50_ns)
+            .raw("p99_ns", c.p99_ns)
+            .fixed("allocs_per_query", c.allocs_per_query, 2)
+            .fixed_or_null("baseline_qps", baseline, 0)
+            .fixed_or_null("speedup", baseline.map(|b| c.qps / b), 2)
+    });
+    Obj::header("E22", cfg.smoke).rows("cells", rows).document()
 }
 
 /// E22: query throughput across workloads — the benchmark baseline for
-/// the dense-layout query-path overhaul. Writes `BENCH_query.json` to
-/// the workspace root (override with `HOPSPAN_BENCH_OUT`).
+/// the dense-layout query-path overhaul. Writes `BENCH_query.json`
+/// (see [`report::write_bench`]).
 pub fn e22_query_throughput() -> String {
     let cfg = E22Cfg::from_env();
     let mut cells: Vec<E22Cell> = Vec::new();
@@ -1610,40 +1585,7 @@ pub fn e22_query_throughput() -> String {
         ));
     }
 
-    let alloc_counter = crate::allocs::probe_active();
-    if std::env::var("HOPSPAN_E22_PRINT_BASELINE").is_ok() {
-        eprintln!("// E22 baseline constants (qps), paste into E22_BASELINE_QPS:");
-        for c in &cells {
-            eprintln!(
-                "    (\"{}\", {}, \"{}\", {:.0}.0),",
-                c.workload, c.n, c.op, c.qps
-            );
-        }
-    }
-
-    let json = e22_json(&cells, &cfg, alloc_counter);
-    let out_path = std::env::var("HOPSPAN_BENCH_OUT").map_or_else(
-        |_| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("crates/bench sits two levels below the workspace root")
-                .join("BENCH_query.json")
-        },
-        std::path::PathBuf::from,
-    );
-    // Report only the file name on success — the absolute path would
-    // leak a machine-local prefix into the committed EXPERIMENTS.md.
-    let json_note = match std::fs::write(&out_path, &json) {
-        Ok(()) => {
-            let shown = out_path.file_name().map_or_else(
-                || out_path.display().to_string(),
-                |f| f.to_string_lossy().into_owned(),
-            );
-            format!("Machine-readable results: `{shown}`.")
-        }
-        Err(e) => format!("(could not write {}: {e})", out_path.display()),
-    };
+    let json_note = report::write_bench("query", &e22_json(&cells, &cfg));
 
     let mut rows = Vec::new();
     for c in &cells {
@@ -1655,8 +1597,7 @@ pub fn e22_query_throughput() -> String {
             format!("{:.0}", c.qps),
             c.p50_ns.to_string(),
             c.p99_ns.to_string(),
-            c.allocs_per_query
-                .map_or_else(|| "n/a".into(), |a| format!("{a:.2}")),
+            format!("{:.2}", c.allocs_per_query),
             baseline.map_or_else(|| "-".into(), |b| format!("x{:.2}", c.qps / b)),
         ]);
     }
@@ -1691,8 +1632,8 @@ pub fn e22_query_throughput() -> String {
          query APIs. Workloads: uniform 2D (budgeted Ramsey cover, ζ = \
          12, home trees), clustered 2D (same cover, min-distance \
          selection scan), random tree metrics (k = 4). Latencies are \
-         per-query wall clock; allocs/q requires the counting allocator \
-         of `exp_query`. {headline}. {json_note}\n\n{table}\n",
+         per-query wall clock; allocs/q counts heap allocations through \
+         the counting allocator of the `exp` binary. {headline}. {json_note}\n\n{table}\n",
     )
 }
 
@@ -1796,75 +1737,58 @@ fn e23_json(
     groups: &[E23Group],
 ) -> String {
     use hopspan_chaos::ScenarioKind;
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"E23\",\n");
-    out.push_str(&format!("  \"seed\": \"{:#x}\",\n", cfg.seed));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!(
-        "  \"scenarios\": {},\n  \"escaped_panics\": {},\n  \
-         \"violations\": {},\n  \"survival_rate\": {:.4},\n  \
-         \"max_in_contract_stretch\": {:.6},\n  \
-         \"stretch_bound\": {:.2},\n  \"degraded_hash\": \"{:#018x}\",\n",
-        report.scenarios.len(),
-        report.escaped_panics,
-        report.violations().len(),
-        report.survival_rate(),
-        report.max_in_contract_stretch(),
-        cfg.stretch_bound,
-        report.degraded_hash(),
-    ));
-    out.push_str("  \"fault_groups\": [\n");
-    for (i, g) in groups.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"f\": {}, \"strategy\": \"{}\", \"in_full\": {}, \
-             \"in_total\": {}, \"in_max_stretch\": {:.6}, \
-             \"over_typed\": {}, \"over_degraded\": {}, \
-             \"over_total\": {}, \"degraded_max_stretch\": {:.6}}}{}\n",
-            g.f,
-            g.strategy,
-            g.in_full,
-            g.in_total,
-            g.in_max_stretch,
-            g.over_typed,
-            g.over_degraded,
-            g.over_total,
-            g.degraded_max_stretch,
-            if i + 1 < groups.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
+    let fault_groups = groups.iter().map(|g| {
+        Obj::default()
+            .raw("f", g.f)
+            .str("strategy", &g.strategy)
+            .raw("in_full", g.in_full)
+            .raw("in_total", g.in_total)
+            .fixed("in_max_stretch", g.in_max_stretch, 6)
+            .raw("over_typed", g.over_typed)
+            .raw("over_degraded", g.over_degraded)
+            .raw("over_total", g.over_total)
+            .fixed("degraded_max_stretch", g.degraded_max_stretch, 6)
+    });
+    let mut doc = Obj::header("E23", smoke)
+        .raw("scenarios", report.scenarios.len())
+        .raw("escaped_panics", report.escaped_panics)
+        .raw("violations", report.violations().len())
+        .fixed("survival_rate", report.survival_rate(), 4)
+        .fixed(
+            "max_in_contract_stretch",
+            report.max_in_contract_stretch(),
+            6,
+        )
+        .fixed("stretch_bound", cfg.stretch_bound, 2)
+        .hex("degraded_hash", report.degraded_hash())
+        .rows("fault_groups", fault_groups);
     for (key, kind) in [
         ("corrupt_metrics", ScenarioKind::CorruptMetric),
         ("panic_injection", ScenarioKind::PanicInjection),
         ("serve_panic", ScenarioKind::ServePanic),
     ] {
-        let rows = e23_tag_counts(report, kind);
-        out.push_str(&format!("  \"{key}\": [\n"));
-        for (i, (tag, typed, survived, total)) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"tag\": \"{tag}\", \"typed_errors\": {typed}, \
-                 \"survived\": {survived}, \"total\": {total}}}{}\n",
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str(if key == "serve_panic" {
-            "  ]\n"
-        } else {
-            "  ],\n"
-        });
+        let rows = e23_tag_counts(report, kind)
+            .into_iter()
+            .map(|(tag, typed, survived, total)| {
+                Obj::default()
+                    .str("tag", tag)
+                    .raw("typed_errors", typed)
+                    .raw("survived", survived)
+                    .raw("total", total)
+            });
+        doc = doc.rows(key, rows);
     }
-    out.push_str("}\n");
-    out
+    doc.document()
 }
 
 /// E23: the chaos campaign — deterministic fault injection across the
 /// query stack (adversarial fault sets, corrupted metrics, injected
-/// worker panics). Writes `BENCH_chaos.json` to the workspace root
-/// (override with `HOPSPAN_BENCH_OUT`). The smoke variant
-/// (`HOPSPAN_E23_SMOKE=1`) still runs ≥ 200 scenarios.
+/// worker panics). Writes `BENCH_chaos.json` (see
+/// [`report::write_bench`]). The smoke variant still runs ≥ 200
+/// scenarios.
 pub fn e23_chaos() -> String {
     use hopspan_chaos::{run_campaign, CampaignConfig, ScenarioKind};
-    let smoke = std::env::var("HOPSPAN_E23_SMOKE").is_ok();
+    let smoke = report::smoke();
     let cfg = if smoke {
         CampaignConfig::smoke(crate::SEED)
     } else {
@@ -1876,27 +1800,7 @@ pub fn e23_chaos() -> String {
     let report = run_campaign(&cfg);
     let groups = e23_fault_groups(&report);
 
-    let json = e23_json(&report, &cfg, smoke, &groups);
-    let out_path = std::env::var("HOPSPAN_BENCH_OUT").map_or_else(
-        |_| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("crates/bench sits two levels below the workspace root")
-                .join("BENCH_chaos.json")
-        },
-        std::path::PathBuf::from,
-    );
-    let json_note = match std::fs::write(&out_path, &json) {
-        Ok(()) => {
-            let shown = out_path.file_name().map_or_else(
-                || out_path.display().to_string(),
-                |f| f.to_string_lossy().into_owned(),
-            );
-            format!("Machine-readable results: `{shown}`.")
-        }
-        Err(e) => format!("(could not write {}: {e})", out_path.display()),
-    };
+    let json_note = report::write_bench("chaos", &e23_json(&report, &cfg, smoke, &groups));
 
     let fault_rows: Vec<Vec<String>> = groups
         .iter()
@@ -1973,7 +1877,7 @@ pub fn e23_chaos() -> String {
 
 // --------------------------------------------------------------- E24
 
-/// E24 configuration (smoke variant: `HOPSPAN_E24_SMOKE=1`).
+/// E24 configuration (smoke variant: `HOPSPAN_SMOKE=1`).
 struct E24Cfg {
     n: usize,
     pairs: usize,
@@ -1985,7 +1889,7 @@ struct E24Cfg {
 
 impl E24Cfg {
     fn from_env() -> Self {
-        let smoke = std::env::var("HOPSPAN_E24_SMOKE").is_ok();
+        let smoke = report::smoke();
         if smoke {
             E24Cfg {
                 n: 512,
@@ -2020,7 +1924,7 @@ struct E24Cell {
     mean_batch: f64,
     shed: u64,
     errors: u64,
-    allocs_per_query: Option<f64>,
+    allocs_per_query: f64,
 }
 
 /// Counters sampled at the warmup/measure barriers of one cell.
@@ -2172,7 +2076,6 @@ fn e24_cell(
     policy: DegradationPolicy,
     pairs: &[(u32, u32)],
     cfg: &E24Cfg,
-    alloc_counter: bool,
 ) -> E24Cell {
     let serve_cfg = ServeConfig {
         shards,
@@ -2219,7 +2122,7 @@ fn e24_cell(
         },
         shed: sample.snap1.shed.saturating_sub(sample.snap0.shed),
         errors: sample.snap1.errors.saturating_sub(sample.snap0.errors),
-        allocs_per_query: alloc_counter.then(|| sample.allocs as f64 / queries as f64),
+        allocs_per_query: sample.allocs as f64 / queries as f64,
     }
 }
 
@@ -2302,71 +2205,47 @@ fn e24_json(
     overloads: &[E24Overload],
     headline: Option<f64>,
     cfg: &E24Cfg,
-    alloc_counter: bool,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"E24\",\n");
-    out.push_str(&format!("  \"seed\": \"{:#x}\",\n", crate::SEED));
-    out.push_str(&format!("  \"smoke\": {},\n", cfg.smoke));
-    out.push_str(&format!(
-        "  \"n\": {},\n  \"clients\": {},\n  \"alloc_counter\": {alloc_counter},\n",
-        cfg.n, cfg.clients,
-    ));
-    out.push_str(&format!(
-        "  \"headline_speedup_4x64_vs_1x1\": {},\n",
-        headline.map_or_else(|| "null".to_string(), |h| format!("{h:.4}")),
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"batch\": {}, \"policy\": \"{}\", \
-             \"queries\": {}, \"qps\": {:.1}, \"p50_us\": {:.3}, \
-             \"p99_us\": {:.3}, \"mean_batch\": {:.2}, \"shed\": {}, \
-             \"errors\": {}, \"allocs_per_query\": {}}}{}\n",
-            c.shards,
-            c.batch,
-            c.policy,
-            c.queries,
-            c.qps,
-            c.p50_us,
-            c.p99_us,
-            c.mean_batch,
-            c.shed,
-            c.errors,
-            c.allocs_per_query
-                .map_or_else(|| "null".to_string(), |a| format!("{a:.4}")),
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"overload\": [\n");
-    for (i, o) in overloads.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"admitted\": {}, \"offered_over\": {}, \
-             \"typed_shed\": {}, \"inline_degraded\": {}, \"shed_counter\": {}, \
-             \"inline_counter\": {}}}{}\n",
-            o.policy,
-            o.admitted,
-            o.offered_over,
-            o.typed_shed,
-            o.inline_degraded,
-            o.shed_counter,
-            o.inline_counter,
-            if i + 1 < overloads.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let cells = cells.iter().map(|c| {
+        Obj::default()
+            .raw("shards", c.shards)
+            .raw("batch", c.batch)
+            .str("policy", c.policy)
+            .raw("queries", c.queries)
+            .fixed("qps", c.qps, 1)
+            .fixed("p50_us", c.p50_us, 3)
+            .fixed("p99_us", c.p99_us, 3)
+            .fixed("mean_batch", c.mean_batch, 2)
+            .raw("shed", c.shed)
+            .raw("errors", c.errors)
+            .fixed("allocs_per_query", c.allocs_per_query, 4)
+    });
+    let overloads = overloads.iter().map(|o| {
+        Obj::default()
+            .str("policy", o.policy)
+            .raw("admitted", o.admitted)
+            .raw("offered_over", o.offered_over)
+            .raw("typed_shed", o.typed_shed)
+            .raw("inline_degraded", o.inline_degraded)
+            .raw("shed_counter", o.shed_counter)
+            .raw("inline_counter", o.inline_counter)
+    });
+    Obj::header("E24", cfg.smoke)
+        .raw("n", cfg.n)
+        .raw("clients", cfg.clients)
+        .fixed_or_null("headline_speedup_4x64_vs_1x1", headline, 4)
+        .rows("cells", cells)
+        .rows("overload", overloads)
+        .document()
 }
 
 /// E24: closed-loop load against `hopspan-serve` — shards × batch
 /// window × degradation policy, plus an overload probe per policy.
-/// Writes `BENCH_serve.json` to the workspace root (override with
-/// `HOPSPAN_BENCH_OUT`). Smoke variant: `HOPSPAN_E24_SMOKE=1`.
-/// Allocs/query requires the counting allocator of `exp_serve`.
+/// Writes `BENCH_serve.json` (see [`report::write_bench`]).
+/// Allocs/query counts through the counting allocator of the `exp`
+/// binary.
 pub fn e24_serve() -> String {
     let cfg = E24Cfg::from_env();
-    let alloc_counter = crate::allocs::probe_active();
     let points = gen::uniform_points(cfg.n, 2, &mut rng(0xE24_0001));
     let params = BackendParams {
         seed: crate::SEED,
@@ -2388,15 +2267,7 @@ pub fn e24_serve() -> String {
     for &policy in &[DegradationPolicy::Strict, DegradationPolicy::BestEffort] {
         for &shards in &[1usize, 2, 4, 8] {
             for &batch in &[1usize, 16, 64] {
-                cells.push(e24_cell(
-                    &backend,
-                    shards,
-                    batch,
-                    policy,
-                    &pairs,
-                    &cfg,
-                    alloc_counter,
-                ));
+                cells.push(e24_cell(&backend, shards, batch, policy, &pairs, &cfg));
             }
         }
     }
@@ -2416,27 +2287,7 @@ pub fn e24_serve() -> String {
         _ => None,
     };
 
-    let json = e24_json(&cells, &overloads, headline, &cfg, alloc_counter);
-    let out_path = std::env::var("HOPSPAN_BENCH_OUT").map_or_else(
-        |_| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("crates/bench sits two levels below the workspace root")
-                .join("BENCH_serve.json")
-        },
-        std::path::PathBuf::from,
-    );
-    let json_note = match std::fs::write(&out_path, &json) {
-        Ok(()) => {
-            let shown = out_path.file_name().map_or_else(
-                || out_path.display().to_string(),
-                |f| f.to_string_lossy().into_owned(),
-            );
-            format!("Machine-readable results: `{shown}`.")
-        }
-        Err(e) => format!("(could not write {}: {e})", out_path.display()),
-    };
+    let json_note = report::write_bench("serve", &e24_json(&cells, &overloads, headline, &cfg));
 
     let sweep_rows: Vec<Vec<String>> = cells
         .iter()
@@ -2451,8 +2302,7 @@ pub fn e24_serve() -> String {
                 format!("{:.1}", c.mean_batch),
                 c.shed.to_string(),
                 c.errors.to_string(),
-                c.allocs_per_query
-                    .map_or_else(|| "n/a".into(), |a| format!("{a:.2}")),
+                format!("{:.2}", c.allocs_per_query),
             ]
         })
         .collect();
@@ -2524,7 +2374,7 @@ pub fn e24_serve() -> String {
     )
 }
 
-/// E25 configuration (smoke variant: `HOPSPAN_E25_SMOKE=1`).
+/// E25 configuration (smoke variant: `HOPSPAN_SMOKE=1`).
 struct E25Cfg {
     sizes: Vec<usize>,
     smoke: bool,
@@ -2532,7 +2382,7 @@ struct E25Cfg {
 
 impl E25Cfg {
     fn from_env() -> Self {
-        let smoke = std::env::var("HOPSPAN_E25_SMOKE").is_ok();
+        let smoke = report::smoke();
         let sizes = if smoke {
             vec![256, 1024]
         } else {
@@ -2590,40 +2440,28 @@ fn e25_cell(n: usize) -> E25Cell {
 }
 
 fn e25_json(cells: &[E25Cell], cfg: &E25Cfg) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"E25\",\n");
-    out.push_str(&format!("  \"seed\": \"{:#x}\",\n", crate::SEED));
-    out.push_str(&format!("  \"smoke\": {},\n", cfg.smoke));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"build_ms\": {:.3}, \"write_ms\": {:.3}, \
-             \"load_ms\": {:.3}, \"snapshot_bytes\": {}, \"live_bytes\": {}, \
-             \"checksum\": \"{:#018x}\", \"boot_speedup\": {:.2}, \
-             \"hx_match\": {}}}{}\n",
-            c.n,
-            c.build.as_secs_f64() * 1e3,
-            c.write.as_secs_f64() * 1e3,
-            c.load.as_secs_f64() * 1e3,
-            c.snapshot_bytes,
-            c.live_bytes,
-            c.checksum,
-            c.speedup,
-            c.hx_match,
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let cells = cells.iter().map(|c| {
+        Obj::default()
+            .raw("n", c.n)
+            .fixed("build_ms", c.build.as_secs_f64() * 1e3, 3)
+            .fixed("write_ms", c.write.as_secs_f64() * 1e3, 3)
+            .fixed("load_ms", c.load.as_secs_f64() * 1e3, 3)
+            .raw("snapshot_bytes", c.snapshot_bytes)
+            .raw("live_bytes", c.live_bytes)
+            .hex("checksum", c.checksum)
+            .fixed("boot_speedup", c.speedup, 2)
+            .raw("hx_match", c.hx_match)
+    });
+    Obj::header("E25", cfg.smoke)
+        .rows("cells", cells)
+        .document()
 }
 
 /// E25: boot-from-snapshot vs rebuild. Per size, builds the serve
 /// layer's budgeted navigator (the rebuild baseline), writes it
 /// through the versioned `HSNP` codec, boots it back with full deep
 /// validation, and pins the loaded navigator's `H_X` hash against the
-/// live one. Writes
-/// `BENCH_store.json` to the workspace root (override with
-/// `HOPSPAN_BENCH_OUT`). Smoke variant: `HOPSPAN_E25_SMOKE=1`.
+/// live one. Writes `BENCH_store.json` (see [`report::write_bench`]).
 pub fn e25_store() -> String {
     let cfg = E25Cfg::from_env();
     let cells: Vec<E25Cell> = cfg.sizes.iter().map(|&n| e25_cell(n)).collect();
@@ -2632,27 +2470,7 @@ pub fn e25_store() -> String {
         "snapshot-loaded navigator must hash identically to the live one"
     );
 
-    let json = e25_json(&cells, &cfg);
-    let out_path = std::env::var("HOPSPAN_BENCH_OUT").map_or_else(
-        |_| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("crates/bench sits two levels below the workspace root")
-                .join("BENCH_store.json")
-        },
-        std::path::PathBuf::from,
-    );
-    let json_note = match std::fs::write(&out_path, &json) {
-        Ok(()) => {
-            let shown = out_path.file_name().map_or_else(
-                || out_path.display().to_string(),
-                |f| f.to_string_lossy().into_owned(),
-            );
-            format!("Machine-readable results: `{shown}`.")
-        }
-        Err(e) => format!("(could not write {}: {e})", out_path.display()),
-    };
+    let json_note = report::write_bench("store", &e25_json(&cells, &cfg));
 
     let rows: Vec<Vec<String>> = cells
         .iter()
@@ -2709,9 +2527,9 @@ pub fn e25_store() -> String {
 
 // --------------------------------------------------------------- E26
 
-/// E26 configuration (smoke variant: `HOPSPAN_E26_SMOKE=1`). The
+/// E26 configuration (smoke variant: `HOPSPAN_SMOKE=1`). The
 /// outage campaign stays ≥ 100 scenarios even in smoke — 4 kinds ×
-/// `outage_per_kind` is the floor the CI resilience-smoke job asserts.
+/// `outage_per_kind` is the floor the CI experiments-smoke job asserts.
 struct E26Cfg {
     n: usize,
     passes: usize,
@@ -2721,7 +2539,7 @@ struct E26Cfg {
 
 impl E26Cfg {
     fn from_env() -> Self {
-        let smoke = std::env::var("HOPSPAN_E26_SMOKE").is_ok();
+        let smoke = report::smoke();
         if smoke {
             E26Cfg {
                 n: 96,
@@ -2895,49 +2713,43 @@ fn e26_json(
     tags: &[(String, usize, usize, usize)],
     cfg: &E26Cfg,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"E26\",\n");
-    out.push_str(&format!("  \"seed\": \"{:#x}\",\n", crate::SEED));
-    out.push_str(&format!("  \"smoke\": {},\n", cfg.smoke));
-    out.push_str("  \"availability\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards_down\": {}, \"queries\": {}, \"full\": {}, \
-             \"typed\": {}, \"availability\": {:.6}, \"p99_us\": {:.3}, \
-             \"failovers\": {}, \"ownership_restored\": {}}}{}\n",
-            c.down,
-            c.queries,
-            c.full,
-            c.typed,
-            c.availability,
-            c.p99_us,
-            c.failovers,
-            c.ownership_restored,
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"recovery\": {{\"recovery_ms\": {:.3}, \"respawns\": {}, \
-         \"shard_down_events\": {}, \"readmitted\": {}}},\n",
-        recovery.recovery_ms, recovery.respawns, recovery.down_events, recovery.readmitted,
-    ));
-    out.push_str(&format!(
-        "  \"campaign\": {{\"scenarios\": {}, \"escaped_panics\": {}, \
-         \"violations\": {}, \"by_tag\": [\n",
-        report.scenarios.len(),
-        report.escaped_panics,
-        report.violations().len(),
-    ));
-    for (i, (tag, typed, survived, total)) in tags.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"tag\": \"{tag}\", \"typed\": {typed}, \"survived\": {survived}, \
-             \"total\": {total}}}{}\n",
-            if i + 1 < tags.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]}\n}\n");
-    out
+    let availability = cells.iter().map(|c| {
+        Obj::default()
+            .raw("shards_down", c.down)
+            .raw("queries", c.queries)
+            .raw("full", c.full)
+            .raw("typed", c.typed)
+            .fixed("availability", c.availability, 6)
+            .fixed("p99_us", c.p99_us, 3)
+            .raw("failovers", c.failovers)
+            .raw("ownership_restored", c.ownership_restored)
+    });
+    let by_tag = tags.iter().map(|(tag, typed, survived, total)| {
+        Obj::default()
+            .str("tag", tag)
+            .raw("typed", typed)
+            .raw("survived", survived)
+            .raw("total", total)
+    });
+    Obj::header("E26", cfg.smoke)
+        .rows("availability", availability)
+        .obj(
+            "recovery",
+            Obj::default()
+                .fixed("recovery_ms", recovery.recovery_ms, 3)
+                .raw("respawns", recovery.respawns)
+                .raw("shard_down_events", recovery.down_events)
+                .raw("readmitted", recovery.readmitted),
+        )
+        .obj(
+            "campaign",
+            Obj::default()
+                .raw("scenarios", report.scenarios.len())
+                .raw("escaped_panics", report.escaped_panics)
+                .raw("violations", report.violations().len())
+                .rows("by_tag", by_tag),
+        )
+        .document()
 }
 
 /// E26: the self-healing serve layer under scripted shard outages.
@@ -2947,8 +2759,7 @@ fn e26_json(
 /// snapshot, and an outage-only chaos campaign
 /// (kill/slow/flapping/corrupt-respawn) that must finish with zero
 /// escaped panics and zero contract violations. Writes
-/// `BENCH_resilience.json` to the workspace root (override with
-/// `HOPSPAN_BENCH_OUT`). Smoke variant: `HOPSPAN_E26_SMOKE=1`.
+/// `BENCH_resilience.json` (see [`report::write_bench`]).
 pub fn e26_resilience() -> String {
     use hopspan_chaos::{run_campaign, CampaignConfig, ScenarioKind};
     let cfg = E26Cfg::from_env();
@@ -3001,27 +2812,10 @@ pub fn e26_resilience() -> String {
         "the quarantined shard was not re-admitted to Healthy"
     );
 
-    let json = e26_json(&cells, &recovery, &report, &tags, &cfg);
-    let out_path = std::env::var("HOPSPAN_BENCH_OUT").map_or_else(
-        |_| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("crates/bench sits two levels below the workspace root")
-                .join("BENCH_resilience.json")
-        },
-        std::path::PathBuf::from,
+    let json_note = report::write_bench(
+        "resilience",
+        &e26_json(&cells, &recovery, &report, &tags, &cfg),
     );
-    let json_note = match std::fs::write(&out_path, &json) {
-        Ok(()) => {
-            let shown = out_path.file_name().map_or_else(
-                || out_path.display().to_string(),
-                |f| f.to_string_lossy().into_owned(),
-            );
-            format!("Machine-readable results: `{shown}`.")
-        }
-        Err(e) => format!("(could not write {}: {e})", out_path.display()),
-    };
 
     let cell_rows: Vec<Vec<String>> = cells
         .iter()
@@ -3085,7 +2879,7 @@ pub fn e26_resilience() -> String {
     )
 }
 
-/// E27 configuration (smoke variant: `HOPSPAN_E27_SMOKE=1`). Three
+/// E27 configuration (smoke variant: `HOPSPAN_SMOKE=1`). Three
 /// churn cells — {0.1, 1, 10}% of the point set mutated per second —
 /// share the measured window; the smoke variant shrinks the window and
 /// the point set but keeps every acceptance assert.
@@ -3098,7 +2892,7 @@ struct E27Cfg {
 
 impl E27Cfg {
     fn from_env() -> Self {
-        let smoke = std::env::var("HOPSPAN_E27_SMOKE").is_ok();
+        let smoke = report::smoke();
         if smoke {
             E27Cfg {
                 n: 64,
@@ -3156,15 +2950,6 @@ fn e27_scratch_matches(
         Ok((scratch, _gamma)) => store::hx_hash(&scratch) == nav.epoch_info().hx,
         Err(_) => false,
     }
-}
-
-/// Quantile over sorted nanosecond samples, in milliseconds.
-fn e27_quantile_ms(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx] as f64 / 1e6
 }
 
 fn e27_cell(points: &[Vec<f64>], cfg: &E27Cfg, rate_pct_per_s: f64) -> E27Cell {
@@ -3276,47 +3061,35 @@ fn e27_cell(points: &[Vec<f64>], cfg: &E27Cfg, rate_pct_per_s: f64) -> E27Cell {
         staleness_mean: lag_sum as f64 / (ok as f64).max(1.0),
         staleness_max: lag_max,
         rebuilds: counters.rebuilds,
-        rebuild_p50_ms: e27_quantile_ms(&rebuild_ns, 0.50),
-        rebuild_p99_ms: e27_quantile_ms(&rebuild_ns, 0.99),
+        rebuild_p50_ms: quantile(&rebuild_ns, 0.50) as f64 / 1e6,
+        rebuild_p99_ms: quantile(&rebuild_ns, 0.99) as f64 / 1e6,
         hx_matches: e27_scratch_matches(&nav, &dyn_cfg),
     }
 }
 
 fn e27_json(cells: &[E27Cell], cfg: &E27Cfg) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"E27\",\n");
-    out.push_str(&format!("  \"seed\": \"{:#x}\",\n", crate::SEED));
-    out.push_str(&format!("  \"smoke\": {},\n", cfg.smoke));
-    out.push_str(&format!("  \"n\": {},\n", cfg.n));
-    out.push_str(&format!("  \"window_ms\": {},\n", cfg.window_ms));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"churn_pct_per_s\": {}, \"queries\": {}, \"qps\": {:.1}, \
-             \"errors\": {}, \"availability\": {:.6}, \"inserts\": {}, \
-             \"removes\": {}, \"epochs_published\": {}, \
-             \"staleness_mean_epochs\": {:.6}, \"staleness_max_epochs\": {}, \
-             \"rebuilds\": {}, \"rebuild_p50_ms\": {:.3}, \
-             \"rebuild_p99_ms\": {:.3}, \"hx_matches_scratch\": {}}}{}\n",
-            c.rate_pct_per_s,
-            c.queries,
-            c.qps,
-            c.errors,
-            c.availability,
-            c.inserts,
-            c.removes,
-            c.epochs_published,
-            c.staleness_mean,
-            c.staleness_max,
-            c.rebuilds,
-            c.rebuild_p50_ms,
-            c.rebuild_p99_ms,
-            c.hx_matches,
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let cells = cells.iter().map(|c| {
+        Obj::default()
+            .raw("churn_pct_per_s", c.rate_pct_per_s)
+            .raw("queries", c.queries)
+            .fixed("qps", c.qps, 1)
+            .raw("errors", c.errors)
+            .fixed("availability", c.availability, 6)
+            .raw("inserts", c.inserts)
+            .raw("removes", c.removes)
+            .raw("epochs_published", c.epochs_published)
+            .fixed("staleness_mean_epochs", c.staleness_mean, 6)
+            .raw("staleness_max_epochs", c.staleness_max)
+            .raw("rebuilds", c.rebuilds)
+            .fixed("rebuild_p50_ms", c.rebuild_p50_ms, 3)
+            .fixed("rebuild_p99_ms", c.rebuild_p99_ms, 3)
+            .raw("hx_matches_scratch", c.hx_matches)
+    });
+    Obj::header("E27", cfg.smoke)
+        .raw("n", cfg.n)
+        .raw("window_ms", cfg.window_ms)
+        .rows("cells", cells)
+        .document()
 }
 
 /// E27: online churn against the epoch-swapped dynamic navigator.
@@ -3325,8 +3098,7 @@ fn e27_json(cells: &[E27Cell], cfg: &E27Cfg) -> String {
 /// Acceptance (asserted): availability 1.0 in every cell — every query
 /// is answered from the current or previous epoch, never an error —
 /// and every cell's settled epoch `H_X` equals the from-scratch build
-/// hash. Writes `BENCH_churn.json` to the workspace root (override
-/// with `HOPSPAN_BENCH_OUT`). Smoke variant: `HOPSPAN_E27_SMOKE=1`.
+/// hash. Writes `BENCH_churn.json` (see [`report::write_bench`]).
 pub fn e27_churn() -> String {
     let cfg = E27Cfg::from_env();
     let points: Vec<Vec<f64>> = {
@@ -3354,27 +3126,7 @@ pub fn e27_churn() -> String {
         );
     }
 
-    let json = e27_json(&cells, &cfg);
-    let out_path = std::env::var("HOPSPAN_BENCH_OUT").map_or_else(
-        |_| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("crates/bench sits two levels below the workspace root")
-                .join("BENCH_churn.json")
-        },
-        std::path::PathBuf::from,
-    );
-    let json_note = match std::fs::write(&out_path, &json) {
-        Ok(()) => {
-            let shown = out_path.file_name().map_or_else(
-                || out_path.display().to_string(),
-                |f| f.to_string_lossy().into_owned(),
-            );
-            format!("Machine-readable results: `{shown}`.")
-        }
-        Err(e) => format!("(could not write {}: {e})", out_path.display()),
-    };
+    let json_note = report::write_bench("churn", &e27_json(&cells, &cfg));
 
     let rows: Vec<Vec<String>> = cells
         .iter()
@@ -3428,3 +3180,6 @@ pub fn e27_churn() -> String {
         cells.last().map_or(0.0, |c| c.staleness_mean),
     )
 }
+
+#[cfg(test)]
+mod golden;

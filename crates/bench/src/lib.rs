@@ -1,14 +1,17 @@
 //! Benchmark and experiment harness for the `hopspan` workspace.
 //!
 //! Every table and figure-shaped artifact of the paper maps to one
-//! experiment function in [`experiments`] (the E1–E17 index of
+//! experiment function in [`experiments`] (the E1–E27 index of
 //! DESIGN.md §3). Each function measures the relevant quantities and
-//! returns a markdown section; the `exp_*` binaries print single
-//! sections and the `exp_all` binary regenerates `EXPERIMENTS.md`.
+//! returns a markdown section. The `exp` binary runs them: `exp E22 E24`
+//! prints those sections and `exp all` regenerates `EXPERIMENTS.md`.
+//! The systems experiments E22–E27 share their output path through
+//! [`report`].
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod report;
 
 use std::time::{Duration, Instant};
 
@@ -53,13 +56,10 @@ pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
-/// Heap-allocation counting hook for the query-throughput experiment
-/// (E22). The library itself installs no allocator; the `exp_query`
-/// binary (and the `tests/query_allocs.rs` integration test) wrap the
-/// system allocator and call [`allocs::record`] on every allocation, so
-/// E22 can report measured allocs-per-query. When no counting allocator
-/// is installed the probe stays silent and E22 reports the metric as
-/// unavailable instead of a misleading zero.
+/// Heap-allocation counting hook for the allocs-per-query columns of
+/// E22 and E24. The library installs no allocator; the `exp` binary
+/// wraps the system allocator and calls [`allocs::record`] on every
+/// allocation.
 pub mod allocs {
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,14 +75,5 @@ pub mod allocs {
     #[inline]
     pub fn count() -> u64 {
         COUNT.load(Ordering::Relaxed)
-    }
-
-    /// Whether a counting allocator is actually installed: allocates a
-    /// box and checks that the counter moved.
-    pub fn probe_active() -> bool {
-        let before = count();
-        let b = std::hint::black_box(Box::new(0xA5u8));
-        drop(std::hint::black_box(b));
-        count() != before
     }
 }

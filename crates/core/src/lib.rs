@@ -40,12 +40,14 @@
 
 mod error;
 mod fault_tolerant;
+mod fnv;
 mod navigation;
 
 pub use error::HopspanError;
 pub use fault_tolerant::{
     DegradationPolicy, DegradeReason, FaultTolerantSpanner, FtError, FtPath, FtPathOutcome,
 };
+pub use fnv::Fnv1a;
 pub use navigation::{
     tree_fingerprint, MetricNavigator, MetricNavigatorParts, NavTreeParts, NavigationError,
 };

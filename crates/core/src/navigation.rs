@@ -23,6 +23,8 @@ use hopspan_tree_spanner::{SpannerParts, TreeHopSpanner, TreeSpannerError};
 use hopspan_treealg::RootedTree;
 use rand::Rng;
 
+use crate::Fnv1a;
+
 /// Error type for [`MetricNavigator`].
 #[derive(Debug)]
 #[non_exhaustive]
@@ -124,28 +126,20 @@ impl From<TreeSpannerError> for NavigationError {
 /// reuses the spanner of an isomorphic tree.
 #[must_use]
 pub fn tree_fingerprint(dom: &DominatingTree) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn mix(h: &mut u64, w: u64) {
-        for b in w.to_le_bytes() {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(PRIME);
-        }
-    }
     let tree = dom.tree();
-    let mut h = OFFSET;
-    mix(&mut h, tree.len() as u64);
-    mix(&mut h, tree.root() as u64);
+    let mut h = Fnv1a::default();
+    h.write_usize(tree.len());
+    h.write_usize(tree.root());
     for v in 0..tree.len() {
         match tree.parent(v) {
             Some(p) => {
-                mix(&mut h, p as u64);
-                mix(&mut h, tree.parent_weight(v).to_bits());
+                h.write_usize(p);
+                h.write_f64(tree.parent_weight(v));
             }
-            None => mix(&mut h, u64::MAX),
+            None => h.write_u64(u64::MAX),
         }
     }
-    h
+    h.finish()
 }
 
 /// One cover tree with its Theorem 1.1 navigation structure.

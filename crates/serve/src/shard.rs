@@ -767,8 +767,9 @@ impl ShardedNavigator {
         })
     }
 
-    /// Boots the service from an `HSNP` snapshot file: one disk read,
-    /// then one decode per shard replica. Decoding revalidates instead
+    /// Boots the service from an `HSNP` snapshot file: one disk read
+    /// and one decode, shared by every shard as in
+    /// [`ShardedNavigator::replicated`]. Decoding revalidates instead
     /// of rebuilding — the cover/spanner construction is skipped
     /// entirely, which is what makes snapshot boot fast (E25 measures
     /// the speedup). Snapshot-booted backends have no routing scheme
@@ -781,14 +782,9 @@ impl ShardedNavigator {
     pub fn replicated_from_snapshot(path: &Path, cfg: ServeConfig) -> Result<Self, BuildError> {
         validate(&cfg)?;
         let bytes = store::read_snapshot_bytes(path).map_err(BuildError::Store)?;
-        let mut backends = Vec::with_capacity(cfg.shards);
-        for _ in 0..cfg.shards {
-            let snap = store::decode_snapshot(&bytes).map_err(BuildError::Store)?;
-            backends.push(Arc::new(Backend::from_navigator(
-                snap.points,
-                snap.navigator,
-            )));
-        }
+        let snap = store::decode_snapshot(&bytes).map_err(BuildError::Store)?;
+        let backend = Arc::new(Backend::from_navigator(snap.points, snap.navigator));
+        let backends = (0..cfg.shards).map(|_| Arc::clone(&backend)).collect();
         let engine = Self::from_backends(backends, cfg, true)?;
         engine.set_snapshot_path(path);
         Ok(engine)

@@ -10,16 +10,13 @@
 
 use crate::StoreError;
 
-/// FNV-1a over a byte slice — the workspace-standard checksum (same
-/// constants as the serve wire protocol and the chaos hasher).
+/// FNV-1a over a byte slice — the workspace-standard checksum, one
+/// pass of [`hopspan_core::Fnv1a`].
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = hopspan_core::Fnv1a::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Append-only little-endian scalar writer backing every encoded
