@@ -1851,6 +1851,18 @@ pub fn e23_chaos() -> String {
     );
 
     let violations = report.violations();
+    assert_eq!(
+        report.escaped_panics, 0,
+        "a chaos panic escaped containment"
+    );
+    assert!(
+        report.scenarios.len() >= 200,
+        "chaos campaign ran {} scenarios (floor 200)",
+        report.scenarios.len()
+    );
+    // Contract violations stay unasserted until the flaky scenario 76/77
+    // (`Full` in one release run, `Violation` in the next; ROADMAP
+    // item 4) is made replayable, or this check would flap in CI.
     format!(
         "Chaos campaign over the full query stack, seeded and \
          bit-replayable: {} scenarios, {} escaped panics, {} contract \
@@ -2288,6 +2300,34 @@ pub fn e24_serve() -> String {
     };
 
     let json_note = report::write_bench("serve", &e24_json(&cells, &overloads, headline, &cfg));
+    for c in &cells {
+        assert_eq!(
+            c.allocs_per_query, 0.0,
+            "allocs/query at {} shards × batch {} ({})",
+            c.shards, c.batch, c.policy
+        );
+    }
+    let [strict, best_effort] = &overloads;
+    assert_eq!(
+        (
+            strict.admitted,
+            strict.typed_shed,
+            strict.inline_degraded,
+            strict.shed_counter
+        ),
+        (8, 16, 0, 16),
+        "Strict overload probe: admit 8, shed 16/16 typed"
+    );
+    assert_eq!(
+        (
+            best_effort.admitted,
+            best_effort.inline_degraded,
+            best_effort.typed_shed,
+            best_effort.shed_counter
+        ),
+        (8, 16, 0, 0),
+        "BestEffort overload probe: admit 8, degrade 16/16 inline, shed none"
+    );
 
     let sweep_rows: Vec<Vec<String>> = cells
         .iter()

@@ -6,8 +6,8 @@ const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental FNV-1a over bytes. The snapshot checksum, the wire
-/// frame checksum, the tree fingerprint and the chaos golden hashes
-/// all run through [`Fnv1a::write`].
+/// frame checksum and the chaos golden hashes all run through
+/// [`Fnv1a::write`].
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 

@@ -48,9 +48,7 @@ pub use fault_tolerant::{
     DegradationPolicy, DegradeReason, FaultTolerantSpanner, FtError, FtPath, FtPathOutcome,
 };
 pub use fnv::Fnv1a;
-pub use navigation::{
-    tree_fingerprint, MetricNavigator, MetricNavigatorParts, NavTreeParts, NavigationError,
-};
+pub use navigation::{MetricNavigator, MetricNavigatorParts, NavTreeParts, NavigationError};
 
 /// Flat serialization parts of the per-tree spanner structures,
 /// re-exported from the tree-spanner crate so snapshot layers can

@@ -23,8 +23,6 @@ use hopspan_tree_spanner::{SpannerParts, TreeHopSpanner, TreeSpannerError};
 use hopspan_treealg::RootedTree;
 use rand::Rng;
 
-use crate::Fnv1a;
-
 /// Error type for [`MetricNavigator`].
 #[derive(Debug)]
 #[non_exhaustive]
@@ -116,32 +114,6 @@ impl From<TreeSpannerError> for NavigationError {
     }
 }
 
-/// FNV-1a fingerprint of a dominating tree's **shape**: vertex count,
-/// root, parent pointers and parent-edge weight bits — exactly the
-/// inputs of the Theorem 1.1 spanner construction, which never sees
-/// point ids. Two trees with equal fingerprints have bit-identical
-/// spanners, so the fingerprint keys the spanner-reuse cache of
-/// [`MetricNavigator::from_cover_reusing_with_stats`]. Point mappings
-/// (`point_of`) are deliberately excluded: a renumbered point set
-/// reuses the spanner of an isomorphic tree.
-#[must_use]
-pub fn tree_fingerprint(dom: &DominatingTree) -> u64 {
-    let tree = dom.tree();
-    let mut h = Fnv1a::default();
-    h.write_usize(tree.len());
-    h.write_usize(tree.root());
-    for v in 0..tree.len() {
-        match tree.parent(v) {
-            Some(p) => {
-                h.write_usize(p);
-                h.write_f64(tree.parent_weight(v));
-            }
-            None => h.write_u64(u64::MAX),
-        }
-    }
-    h.finish()
-}
-
 /// One cover tree with its Theorem 1.1 navigation structure.
 #[derive(Debug)]
 pub(crate) struct NavTree {
@@ -157,29 +129,6 @@ impl NavTree {
         let required: Vec<bool> = (0..tree.len()).map(|v| tree.child_count(v) == 0).collect();
         let spanner = TreeHopSpanner::with_required(tree, &required, k)?;
         Ok(NavTree { dom, spanner })
-    }
-
-    /// Revalidates a cached spanner against `dom`: the parts must carry
-    /// the same hop budget, cover exactly the tree's vertices and mark
-    /// exactly its leaves required, and survive
-    /// [`TreeHopSpanner::from_parts`]' deep validation. Any mismatch
-    /// returns `None` so the caller falls back to a fresh build — a
-    /// stale or corrupt cache entry can cost time, never correctness.
-    fn from_cached(dom: &DominatingTree, k: usize, parts: &SpannerParts) -> Option<TreeHopSpanner> {
-        let tree = dom.tree();
-        if parts.k != k {
-            return None;
-        }
-        let spanner = TreeHopSpanner::from_parts(parts.clone()).ok()?;
-        if spanner.vertex_count() != tree.len() {
-            return None;
-        }
-        for v in 0..tree.len() {
-            if spanner.is_required(v) != (tree.child_count(v) == 0) {
-                return None;
-            }
-        }
-        Some(spanner)
     }
 
     /// The k-hop tree-vertex path between the leaves of two points,
@@ -427,59 +376,18 @@ impl MetricNavigator {
         k: usize,
         workers: Option<usize>,
     ) -> Result<(Self, BuildStats), NavigationError> {
-        Self::from_cover_reusing_with_stats(metric, doms, home, k, workers, &BTreeMap::new())
-            .map(|(nav, stats, _)| (nav, stats))
-    }
-
-    /// Like [`MetricNavigator::from_cover_with_stats`], but consults a
-    /// cache of previously built spanners keyed by
-    /// [`tree_fingerprint`]: a dominating tree whose shape and weights
-    /// match a cached entry reuses that spanner (after the same deep
-    /// validation as [`MetricNavigator::from_parts`]) instead of
-    /// rebuilding it. Because a Theorem 1.1 spanner is a deterministic
-    /// function of the tree shape and hop budget alone — it never sees
-    /// point ids — the assembled navigator is **bit-identical** to a
-    /// from-scratch [`MetricNavigator::from_cover`] over the same
-    /// cover; a cache entry that fails validation falls back to a
-    /// fresh build. Returns the number of trees served from the cache
-    /// alongside the navigator and its build telemetry. This is the
-    /// amortization primitive of `hopspan-dynamic`: a mutation
-    /// perturbs only the net levels near the touched point, so most
-    /// cover trees of the next epoch recur and skip their spanner
-    /// build.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tree-spanner construction failures.
-    pub fn from_cover_reusing_with_stats<M: Metric>(
-        metric: &M,
-        doms: Vec<DominatingTree>,
-        home: Option<Vec<usize>>,
-        k: usize,
-        workers: Option<usize>,
-        cache: &BTreeMap<u64, SpannerParts>,
-    ) -> Result<(Self, BuildStats, usize), NavigationError> {
         let n = metric.len();
         let workers = hopspan_pipeline::resolve_workers(workers);
         let mut stats = BuildStats::new(workers);
         // Per-tree spanner builds touch only their own dominating tree
         // (never the metric), so they fan out without an `M: Sync` bound.
-        let built: Vec<(NavTree, bool)> = stats.phase("spanners", || {
-            hopspan_pipeline::try_parallel_map_owned(workers, doms, |_, dom| {
-                if let Some(parts) = cache.get(&tree_fingerprint(&dom)) {
-                    if let Some(t) = NavTree::from_cached(&dom, k, parts) {
-                        return Ok((NavTree { dom, spanner: t }, true));
-                    }
-                }
-                NavTree::new(dom, k).map(|t| (t, false))
-            })
-            .map_err(NavigationError::Pipeline)?
-            .into_iter()
-            .collect::<Result<_, TreeSpannerError>>()
-            .map_err(NavigationError::Spanner)
+        let trees: Vec<NavTree> = stats.phase("spanners", || {
+            hopspan_pipeline::try_parallel_map_owned(workers, doms, |_, dom| NavTree::new(dom, k))
+                .map_err(NavigationError::Pipeline)?
+                .into_iter()
+                .collect::<Result<_, TreeSpannerError>>()
+                .map_err(NavigationError::Spanner)
         })?;
-        let reused = built.iter().filter(|(_, hit)| *hit).count();
-        let trees: Vec<NavTree> = built.into_iter().map(|(t, _)| t).collect();
         stats.tree_count = trees.len();
         stats.per_tree_spanner_edges = trees.iter().map(|t| t.spanner.edges().len()).collect();
         // Materialize H_X: every tree-spanner edge becomes a point edge.
@@ -516,22 +424,7 @@ impl MetricNavigator {
                 edges,
             },
             stats,
-            reused,
         ))
-    }
-
-    /// The spanner-reuse cache of this navigator: each cover tree's
-    /// spanner parts keyed by the tree's [`tree_fingerprint`]. Feed the
-    /// result into [`MetricNavigator::from_cover_reusing_with_stats`]
-    /// on the next build so recurring tree shapes skip their spanner
-    /// construction. Trees with colliding fingerprints (identical
-    /// shapes) keep a single entry — their spanners are identical by
-    /// determinism.
-    pub fn spanner_cache(&self) -> BTreeMap<u64, SpannerParts> {
-        self.trees
-            .iter()
-            .map(|t| (tree_fingerprint(&t.dom), t.spanner.to_parts()))
-            .collect()
     }
 
     /// Extracts the flat serialization parts of this navigator: the

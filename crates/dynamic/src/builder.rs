@@ -1,27 +1,25 @@
 //! The background builder: waits for the mutation log to cross a
 //! rebuild threshold, cuts a consistent snapshot of the live point set,
-//! rebuilds the navigator off-lock (reusing unperturbed trees' spanners
-//! through the fingerprint cache), and swaps the new epoch in through
-//! the [`crate::epoch`] funnel. Queries never wait on a rebuild: they
-//! read the published epoch until the swap, which holds the write lock
-//! only for the `Arc` replacement.
+//! rebuilds the navigator off-lock from scratch, and swaps the new
+//! epoch in through the [`crate::epoch`] funnel. Queries never wait on
+//! a rebuild: they read the published epoch until the swap, which holds
+//! the write lock only for the `Arc` replacement.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hopspan_core::{MetricNavigator, NavigationError, SpannerParts};
+use hopspan_core::{MetricNavigator, NavigationError};
 use hopspan_metric::{EuclideanSpace, Metric};
 use hopspan_tree_cover::RamseyTreeCover;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::epoch::{BuildCut, Epoch, NO_DENSE};
-use crate::{read_resilient, write_resilient, Inner};
-// Same poison policy as the crate root: ledger writes run to completion
-// inside the epoch funnel.
-use hopspan_pipeline::lock_resilient;
+use crate::Inner;
+// Same poison policy as the crate root: ledger and epoch writes run to
+// completion inside the epoch funnel.
+use hopspan_pipeline::{lock_resilient, wait_resilient, write_resilient};
 
 /// Pause after a contained rebuild failure before the next attempt, so
 /// a persistently failing build cannot spin the builder thread hot.
@@ -30,26 +28,24 @@ const FAILURE_BACKOFF: Duration = Duration::from_millis(10);
 /// Builds one epoch over the cut's live point set. Deterministic and
 /// bit-identical to a from-scratch [`MetricNavigator::general_budgeted`]
 /// with the same seed over the same points: the rng is re-seeded from
-/// `cfg.seed` for every build, and the spanner cache can only substitute
-/// spanners that a fresh build would have produced anyway (see
-/// [`MetricNavigator::from_cover_reusing_with_stats`]).
+/// `cfg.seed` for every build, and nothing is carried over from the
+/// previous epoch (see the crate docs for why no tree spanner is
+/// reused).
 pub(crate) fn build_epoch(
     cut: &BuildCut,
     cfg: &crate::DynConfig,
-    cache: &BTreeMap<u64, SpannerParts>,
 ) -> Result<Epoch, NavigationError> {
     let points: Vec<Vec<f64>> = cut.points.iter().map(|p| p.coords.clone()).collect();
     let metric = EuclideanSpace::from_points(&points);
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let (cover, gamma) = RamseyTreeCover::with_tree_budget(&metric, cfg.tree_budget, &mut rng)?;
     let home: Vec<usize> = (0..metric.len()).map(|p| cover.home(p)).collect();
-    let (nav, _stats, reused) = MetricNavigator::from_cover_reusing_with_stats(
+    let (nav, _stats) = MetricNavigator::from_cover_with_stats(
         &metric,
         cover.into_cover().into_trees(),
         Some(home),
         cfg.k,
         cfg.workers,
-        cache,
     )?;
     let hx = hopspan_store::hx_hash(&nav);
     let max_ext = cut.points.iter().map(|p| p.ext).max().unwrap_or(0);
@@ -64,7 +60,6 @@ pub(crate) fn build_epoch(
         nav: Arc::new(nav),
         hx,
         gamma,
-        reused_trees: reused,
         dense_of_ext,
         ext_of_dense,
         seq: cut.seq,
@@ -73,10 +68,6 @@ pub(crate) fn build_epoch(
 
 /// The builder thread body: runs until shutdown is requested.
 pub(crate) fn run(inner: Arc<Inner>) {
-    let mut cache: BTreeMap<u64, SpannerParts> = {
-        let view = read_resilient(&inner.shared);
-        view.epoch.nav.spanner_cache()
-    };
     loop {
         // Wait for work (or shutdown) under the ledger mutex.
         let (cut, inject_failure) = {
@@ -104,11 +95,10 @@ pub(crate) fn run(inner: Arc<Inner>) {
                 // hopspan:allow(panic-in-lib) -- chaos injection: the kill-during-rebuild scenarios arm this deliberate panic to prove rebuild containment
                 panic!("chaos: injected rebuild failure");
             }
-            build_epoch(&cut, &inner.cfg, &cache)
+            build_epoch(&cut, &inner.cfg)
         }));
         match built {
             Ok(Ok(epoch)) => {
-                let next_cache = epoch.nav.spanner_cache();
                 let tree_count = epoch.nav.tree_count();
                 let covered_seq = epoch.seq;
                 let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -121,7 +111,6 @@ pub(crate) fn run(inner: Arc<Inner>) {
                 ledger.commit(covered_seq, tree_count, nanos);
                 drop(view);
                 drop(ledger);
-                cache = next_cache;
                 inner
                     .epoch_id
                     .store(id, std::sync::atomic::Ordering::Relaxed);
@@ -140,19 +129,5 @@ pub(crate) fn run(inner: Arc<Inner>) {
                 std::thread::sleep(FAILURE_BACKOFF);
             }
         }
-    }
-}
-
-/// `Condvar::wait` that adopts a poisoned ledger mutex instead of
-/// propagating the poison (same policy as
-/// `hopspan_pipeline::lock_resilient`: the ledger stays consistent
-/// because every write runs to completion inside the epoch funnel).
-pub(crate) fn wait_resilient<'a>(
-    cv: &std::sync::Condvar,
-    guard: std::sync::MutexGuard<'a, crate::epoch::Ledger>,
-) -> std::sync::MutexGuard<'a, crate::epoch::Ledger> {
-    match cv.wait(guard) {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }

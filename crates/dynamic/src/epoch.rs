@@ -48,8 +48,6 @@ pub struct Epoch {
     pub(crate) hx: u64,
     /// Realized Ramsey padding parameter of the build.
     pub(crate) gamma: f64,
-    /// Cover trees whose spanner was reused from the previous epoch.
-    pub(crate) reused_trees: usize,
     /// `dense_of_ext[ext]` = dense index in `nav`, or [`NO_DENSE`].
     pub(crate) dense_of_ext: Vec<u32>,
     /// Inverse map: external id of each dense index.

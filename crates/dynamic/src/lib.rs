@@ -4,15 +4,13 @@
 //! dense, zero-allocation layout — while a background builder thread
 //! applies a mutation log and swaps freshly built epochs in atomically.
 //!
-//! The design follows the paper's hierarchy-of-nets localization
-//! (§3–§5): a single mutation perturbs only the O(log Φ) net levels
-//! around the touched point, so most cover trees of the next epoch
-//! recur **shape-identically** and their Theorem 1.1 spanners are
-//! reused from a fingerprint cache instead of being rebuilt
-//! ([`MetricNavigator::from_cover_reusing_with_stats`]). Amortization à
-//! la the `DecrementalSpanner` blueprint: mutations bump per-tree dirty
-//! counters (keyed on the Ramsey home tree of the touched point), and a
-//! rebuild starts only when a counter crosses
+//! Every epoch is a from-scratch budgeted Ramsey build over the live
+//! point set. Nothing is reused across epochs: each Ramsey tree spans
+//! all live points and is redrawn from the re-seeded rng, so a single
+//! changed point changes every tree's shape. Rebuild *scheduling* is
+//! amortized à la the `DecrementalSpanner` blueprint: mutations bump
+//! per-tree dirty counters (keyed on the Ramsey home tree of the
+//! touched point), and a rebuild starts only when a counter crosses
 //! [`DynConfig::dirty_threshold`] or the global pending log crosses
 //! [`DynConfig::max_pending`].
 //!
@@ -38,14 +36,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use hopspan_core::{MetricNavigator, NavigationError};
-// Adopting poison on the ledger mutex is safe: the ledger is kept
-// consistent by the epoch funnel's complete-write methods.
-use hopspan_pipeline::lock_resilient;
+// Adopting poison on the ledger mutex and the shared epoch lock is
+// safe: both are kept consistent by the epoch funnel's complete-write
+// methods.
+use hopspan_pipeline::{lock_resilient, read_resilient, wait_resilient, write_resilient};
 
 mod builder;
 pub mod epoch;
 
-use builder::wait_resilient;
 use epoch::{Ledger, Shared, Status, NO_DENSE};
 
 /// Default build seed: fixed across epochs so a from-scratch build over
@@ -168,7 +166,9 @@ pub struct EpochInfo {
     pub published_points: usize,
     /// Cover trees of the epoch.
     pub tree_count: usize,
-    /// Trees whose spanner was reused from the previous epoch's cache.
+    /// Always 0: every epoch builds all its tree spanners from scratch.
+    /// Kept only because the `hopbench` traced run reads it; it goes
+    /// with the next change to that benchmark.
     pub reused_trees: usize,
     /// Realized Ramsey padding parameter γ of the build.
     pub gamma: f64,
@@ -258,7 +258,7 @@ impl DynamicNavigator {
                 .collect(),
             seq: 0,
         };
-        let first = builder::build_epoch(&cut, &cfg, &std::collections::BTreeMap::new())?;
+        let first = builder::build_epoch(&cut, &cfg)?;
         let tree_count = first.nav.tree_count();
         let inner = Arc::new(Inner {
             cfg,
@@ -431,7 +431,7 @@ impl DynamicNavigator {
             hx: ep.hx,
             published_points: ep.ext_of_dense.len(),
             tree_count: ep.nav.tree_count(),
-            reused_trees: ep.reused_trees,
+            reused_trees: 0,
             gamma: ep.gamma,
             pending: ledger.pending(),
         }
@@ -540,14 +540,4 @@ fn resolve(view: &Shared, ext: u32) -> Result<usize, NavigationError> {
             }),
         },
     }
-}
-
-/// Acquires the shared state for reading, adopting poison.
-pub(crate) fn read_resilient<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Acquires the shared state for writing, adopting poison.
-pub(crate) fn write_resilient<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

@@ -20,8 +20,9 @@
 //! * [`resolve_workers`] / [`auto_workers`] — worker-count selection:
 //!   an explicit request wins, then the `HOPSPAN_WORKERS` environment
 //!   variable, then [`std::thread::available_parallelism`].
-//! * [`lock_resilient`] — the workspace's one poison-adopting mutex
-//!   acquire, shared by this crate, `hopspan-dynamic` and
+//! * [`lock_resilient`], [`wait_resilient`], [`read_resilient`] and
+//!   [`write_resilient`] — the workspace's one set of poison-adopting
+//!   lock acquires, shared by this crate, `hopspan-dynamic` and
 //!   `hopspan-serve`.
 //! * [`BuildStats`] — per-phase wall times, per-tree spanner sizes and
 //!   edge-dedup counters, threaded through cover → spanner →
@@ -37,7 +38,9 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::time::{Duration, Instant};
 
 /// A contained failure of the parallel pipeline: work unit `unit` (the
@@ -257,7 +260,25 @@ where
 /// [`try_parallel_map`]) and surfaced through
 /// [`PipelineError::poisoned_by`]; this helper only recovers the guard.
 pub fn lock_resilient<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait`] that adopts a poisoned mutex instead of propagating
+/// the poison; the same soundness condition as [`lock_resilient`].
+pub fn wait_resilient<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Acquires a read lock, adopting poison; the same soundness condition
+/// as [`lock_resilient`].
+pub fn read_resilient<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Acquires a write lock, adopting poison; the same soundness condition
+/// as [`lock_resilient`].
+pub fn write_resilient<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Like [`parallel_map`] but consumes the items, for per-item work that

@@ -18,7 +18,7 @@ use std::time::Instant;
 // Adopting poison is safe here: queue state is a `VecDeque` plus a
 // flag, and every mutation below is panic-atomic, so the contents stay
 // coherent even if a holder died.
-use hopspan_pipeline::lock_resilient;
+use hopspan_pipeline::{lock_resilient, wait_resilient};
 
 use crate::Op;
 
@@ -99,10 +99,7 @@ impl BatchQueue {
             if !st.open {
                 return false;
             }
-            st = self
-                .arrived
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            st = wait_resilient(&self.arrived, st);
         }
         let take = st.jobs.len().min(max_batch);
         out.extend(st.jobs.drain(..take));

@@ -19,8 +19,7 @@ pub enum ShardHealth {
     /// Recently failing (or freshly respawned); still serving, but one
     /// more failure streak demotes it to `Down`.
     Suspect,
-    /// Quarantined: replicated engines re-route its requests to a live
-    /// replica, shared engines answer best-effort inline.
+    /// Quarantined: its requests are re-routed to a live shard.
     Down,
 }
 

@@ -253,9 +253,9 @@ pub enum DegradeCode {
     NoSurvivingTree,
     /// Served inline past the admission limit.
     Overload,
-    /// Served inline because the owning shard is `Down` (shared-mode
-    /// best-effort failover; the path itself may be in contract, but
-    /// the shard that should have batched it is quarantined).
+    /// Served inline because the owning shard was `Down`. No engine
+    /// produces it any more (a `Down` owner's requests fail over to a
+    /// live shard); it keeps wire code 5 so decoders still accept it.
     ShardDown,
 }
 

@@ -35,6 +35,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+// Adopting poison is safe here: the only lock guards the list of
+// connection-thread handles, and each push, drain or reap of that list
+// is panic-atomic.
+use hopspan_pipeline::lock_resilient;
+
 use crate::shard::ShardedNavigator;
 use crate::wire::{self, WireError};
 use crate::{Op, QueryOutcome, ServeError};
@@ -144,10 +149,7 @@ impl ServerHandle {
             let _join = t.join();
         }
         let drained: Vec<JoinHandle<()>> = {
-            let mut guard = self
-                .conn_threads
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut guard = lock_resilient(&self.conn_threads);
             guard.drain(..).collect()
         };
         for t in drained {
@@ -203,9 +205,7 @@ impl Server {
                         .name("hopspan-serve-conn".to_string())
                         .spawn(move || serve_connection(&engine, stream, &conn_stop));
                     if let Ok(handle) = spawned {
-                        let mut conns = accept_conns
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
+                        let mut conns = lock_resilient(&accept_conns);
                         // Join finished connections so the list holds
                         // live threads only, not one handle per
                         // connection ever accepted.

@@ -59,7 +59,7 @@ use hopspan_dynamic::{DynConfig, DynError, DynamicNavigator};
 use hopspan_metric::{EuclideanSpace, Metric};
 // Adopting poison is safe here: state under every lock in this module
 // is written panic-atomically, so a poisoned guard is safe to adopt.
-use hopspan_pipeline::lock_resilient;
+use hopspan_pipeline::{lock_resilient, wait_resilient};
 use hopspan_routing::{MetricRoutingScheme, NavBuildError, RouteTrace, RoutingError};
 use hopspan_store as store;
 use rand::SeedableRng;
@@ -586,10 +586,6 @@ pub struct ShardedNavigator {
     metrics: Arc<ServeMetrics>,
     cfg: ServeConfig,
     workers: Vec<JoinHandle<()>>,
-    /// Whether failover re-routes a `Down` shard's requests to a live
-    /// shard (the replicated layouts) or answers them inline instead
-    /// (`shared`, `dynamic`).
-    replicated: bool,
     /// State shared with the respawn supervisor thread.
     sup: Arc<SupervisorShared>,
     supervisor: Option<JoinHandle<()>>,
@@ -635,8 +631,7 @@ impl ShardedNavigator {
     /// worker pools over it. Backend builds are deterministic, so
     /// separately built replicas would be bit-identical; every shard
     /// holds the one immutable build instead, and the replication buys
-    /// isolation (per-shard queues and workers), not divergence. The
-    /// engine keeps replicated failover semantics.
+    /// isolation (per-shard queues and workers), not divergence.
     ///
     /// # Errors
     ///
@@ -650,15 +645,14 @@ impl ShardedNavigator {
         validate(&cfg)?;
         let backend = Arc::new(Backend::build(points, params)?);
         let backends = (0..cfg.shards).map(|_| Arc::clone(&backend)).collect();
-        Self::from_backends(backends, cfg, true)
+        Self::from_backends(backends, cfg)
     }
 
     /// Starts the service with every shard serving the same shared
     /// backend. Query structures are immutable after construction, so
     /// sharing one across shards is safe and keeps the queue/worker
-    /// isolation. Unlike [`ShardedNavigator::replicated`], failover
-    /// answers a `Down` shard's requests inline instead of re-routing
-    /// them.
+    /// isolation. As in every engine, a `Down` shard's requests fail
+    /// over to a live shard ([`ShardedNavigator::dispatch_for`]).
     ///
     /// # Errors
     ///
@@ -667,7 +661,7 @@ impl ShardedNavigator {
     pub fn shared(backend: Arc<Backend>, cfg: ServeConfig) -> Result<Self, BuildError> {
         validate(&cfg)?;
         let backends = (0..cfg.shards).map(|_| Arc::clone(&backend)).collect();
-        Self::from_backends(backends, cfg, false)
+        Self::from_backends(backends, cfg)
     }
 
     /// Starts the service over an online point set: every shard serves
@@ -675,8 +669,10 @@ impl ShardedNavigator {
     /// shard is visible to all of them (one ledger, one epoch
     /// sequence — replicas would diverge under concurrent mutation,
     /// which is why dynamic engines only come in the shared layout).
-    /// `Insert`/`Remove` become servable opcodes and every reply
-    /// carries the serving epoch id.
+    /// Because the navigator is shared, a live shard serves a `Down`
+    /// owner's requests, mutations included, through the same failover
+    /// as every engine. `Insert`/`Remove` become servable opcodes and
+    /// every reply carries the serving epoch id.
     ///
     /// # Errors
     ///
@@ -691,7 +687,7 @@ impl ShardedNavigator {
         let nav = DynamicNavigator::new(points, dyn_cfg).map_err(BuildError::Dynamic)?;
         let backend = Arc::new(Backend::from_dynamic(Arc::new(nav)));
         let backends = (0..cfg.shards).map(|_| Arc::clone(&backend)).collect();
-        Self::from_backends(backends, cfg, false)
+        Self::from_backends(backends, cfg)
     }
 
     /// The shared dynamic navigator, when the engine was built with
@@ -702,11 +698,7 @@ impl ShardedNavigator {
         self.backend_of(0).dynamic_nav().cloned()
     }
 
-    fn from_backends(
-        backends: Vec<Arc<Backend>>,
-        cfg: ServeConfig,
-        replicated: bool,
-    ) -> Result<Self, BuildError> {
+    fn from_backends(backends: Vec<Arc<Backend>>, cfg: ServeConfig) -> Result<Self, BuildError> {
         let metrics = Arc::new(ServeMetrics::default());
         let panic_counter = Arc::new(AtomicU64::new(0));
         let sup = Arc::new(SupervisorShared {
@@ -761,7 +753,6 @@ impl ShardedNavigator {
             metrics,
             cfg,
             workers,
-            replicated,
             sup,
             supervisor: Some(supervisor),
         })
@@ -785,7 +776,7 @@ impl ShardedNavigator {
         let snap = store::decode_snapshot(&bytes).map_err(BuildError::Store)?;
         let backend = Arc::new(Backend::from_navigator(snap.points, snap.navigator));
         let backends = (0..cfg.shards).map(|_| Arc::clone(&backend)).collect();
-        let engine = Self::from_backends(backends, cfg, true)?;
+        let engine = Self::from_backends(backends, cfg)?;
         engine.set_snapshot_path(path);
         Ok(engine)
     }
@@ -931,18 +922,19 @@ impl ShardedNavigator {
     }
 
     /// The shard `op` is actually dispatched to: the owner
-    /// ([`ShardedNavigator::shard_for`]) unless that shard is `Down`
-    /// in a replicated engine, in which case the request fails over to
-    /// the k-th healthy shard, k picked by a second FNV-1a hash over
-    /// the affinity point and the owner index. The choice is a pure
-    /// function of the health configuration — every process, at every
-    /// `HOPSPAN_WORKERS` setting, re-routes the same request to the
-    /// same replica (pinned by `tests/failover_determinism.rs`). With
-    /// zero healthy shards, or in shared mode, the owner is returned
-    /// unchanged and answers typed.
+    /// ([`ShardedNavigator::shard_for`]) unless that shard is `Down`,
+    /// in which case the request fails over to the k-th live shard, k
+    /// picked by a second FNV-1a hash over the affinity point and the
+    /// owner index. Every constructor gives all shards the same
+    /// backend, so any live shard can answer for any owner. The choice
+    /// is a pure function of the health configuration — every process,
+    /// at every `HOPSPAN_WORKERS` setting, re-routes the same request
+    /// to the same shard (pinned by `tests/failover_determinism.rs`).
+    /// With zero live shards the owner is returned unchanged and
+    /// answers typed.
     pub fn dispatch_for(&self, op: &Op) -> usize {
         let owner = self.shard_for(op);
-        if !self.replicated || self.shards[owner].health.get() != ShardHealth::Down {
+        if self.shards[owner].health.get() != ShardHealth::Down {
             return owner;
         }
         self.pick_alternate(op.affinity_point(), owner)
@@ -1025,20 +1017,16 @@ impl ShardedNavigator {
     ///
     /// The same typed errors a queued execution can produce.
     pub fn call_inline(&self, op: Op, out: &mut Vec<usize>) -> Result<QueryOutcome, ServeError> {
-        self.call_inline_with(op, out, DegradeCode::Overload)
+        self.call_inline_with_epoch(op, out)
             .map(|(outcome, _epoch)| outcome)
     }
 
-    /// Inline execution with an explicit degrade reason —
-    /// [`DegradeCode::Overload`] for the admission escape hatch,
-    /// [`DegradeCode::ShardDown`] for shared-mode failover. Returns
-    /// the serving epoch id alongside the outcome (`0` on static
-    /// engines).
-    fn call_inline_with(
+    /// [`ShardedNavigator::call_inline`] plus the serving epoch id
+    /// (`0` on static engines).
+    fn call_inline_with_epoch(
         &self,
         op: Op,
         out: &mut Vec<usize>,
-        reason: DegradeCode,
     ) -> Result<(QueryOutcome, u64), ServeError> {
         ServeMetrics::bump(&self.metrics.inline_served);
         let backend = self.backend_of(self.shard_for(&op));
@@ -1061,7 +1049,7 @@ impl ShardedNavigator {
                 ServeMetrics::bump(&self.metrics.degraded);
                 Ok((
                     QueryOutcome::Degraded {
-                        reason,
+                        reason: DegradeCode::Overload,
                         achieved_stretch: realized_stretch(&backend.metric, out),
                     },
                     epoch,
@@ -1089,14 +1077,10 @@ impl ShardedNavigator {
     /// batched answer, and on overload either shed typed (`Strict`)
     /// or fall back to a degraded inline answer (`BestEffort`).
     ///
-    /// Resilience behavior on top of that contract:
-    ///
-    /// * **Shared-mode failover** — when the owning shard is `Down`
-    ///   and there are no replicas to re-route to, `BestEffort`
-    ///   answers inline as `Degraded{ShardDown}` instead of queueing
-    ///   on the quarantined shard.
-    /// * **No retries** — a contained worker panic surfaces as
-    ///   [`ServeError::WorkerPanicked`] on the first attempt.
+    /// Requests owned by a `Down` shard fail over per
+    /// [`ShardedNavigator::dispatch_for`]. There are no retries: a
+    /// contained worker panic surfaces as
+    /// [`ServeError::WorkerPanicked`] on the first attempt.
     ///
     /// # Errors
     ///
@@ -1119,12 +1103,6 @@ impl ShardedNavigator {
         op: Op,
         out: &mut Vec<usize>,
     ) -> Result<(QueryOutcome, u64), ServeError> {
-        if !self.replicated
-            && self.cfg.policy == DegradationPolicy::BestEffort
-            && self.shards[self.shard_for(&op)].health.get() == ShardHealth::Down
-        {
-            return self.call_inline_with(op, out, DegradeCode::ShardDown);
-        }
         match self.try_submit(op) {
             Ok(pending) => pending.wait_epoch_into(out),
             Err(ServeError::Overloaded { .. })
@@ -1133,7 +1111,7 @@ impl ShardedNavigator {
                 // The rejection is recovered inline, so it was not
                 // actually shed; undo try_submit's shed bump.
                 ServeMetrics::unbump(&self.metrics.shed);
-                self.call_inline_with(op, out, DegradeCode::Overload)
+                self.call_inline_with_epoch(op, out)
             }
             Err(e) => Err(e),
         }
@@ -1215,10 +1193,7 @@ impl Pending<'_> {
         let slot = &shard.slots[self.slot as usize];
         let mut st = lock_resilient(&slot.state);
         while !st.done {
-            st = slot
-                .done_cv
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            st = wait_resilient(&slot.done_cv, st);
         }
         st.done = false;
         let outcome = st.outcome;
@@ -1424,10 +1399,7 @@ fn supervisor_loop(
                 if let Some(i) = q.respawns.pop() {
                     break i;
                 }
-                q = sup
-                    .wake
-                    .wait(q)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                q = wait_resilient(&sup.wake, q);
             }
         };
         if let Some(shard) = shards.get(index as usize) {

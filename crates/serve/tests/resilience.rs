@@ -1,8 +1,8 @@
-//! Self-healing behavior end to end: replicated failover answers every
-//! query while shards are down, shared-mode failover degrades typed,
-//! injected panics surface typed without a retry, slow shards are
-//! demoted by the overrun limit, and quarantined shards respawn from
-//! the boot snapshot — or stay down when the snapshot is corrupt.
+//! Self-healing behavior end to end: replicated and shared-mode failover
+//! answer every query while shards are down, injected panics surface
+//! typed without a retry, slow shards are demoted by the overrun limit,
+//! and quarantined shards respawn from the boot snapshot — or stay down
+//! when the snapshot is corrupt.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 use hopspan_core::DegradationPolicy;
 use hopspan_metric::gen;
 use hopspan_serve::{
-    shard_of_point, Backend, BackendParams, DegradeCode, Op, QueryOutcome, ServeConfig, ServeError,
-    ShardHealth, ShardedNavigator,
+    shard_of_point, Backend, BackendParams, Op, QueryOutcome, ServeConfig, ServeError, ShardHealth,
+    ShardedNavigator,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -175,7 +175,7 @@ fn all_shards_down_still_answers_through_the_owner() {
 }
 
 #[test]
-fn shared_mode_best_effort_answers_down_shards_inline_as_shard_down() {
+fn shared_mode_fails_over_to_a_live_shard() {
     let backend = Arc::new(Backend::build(&points(), &params()).expect("backend builds"));
     let engine = ShardedNavigator::shared(
         Arc::clone(&backend),
@@ -194,27 +194,24 @@ fn shared_mode_best_effort_answers_down_shards_inline_as_shard_down() {
 
     engine.set_health(0, ShardHealth::Down);
     let mut out = Vec::new();
-    // Shared mode has no replica to re-route to: the Down owner's
-    // requests are answered inline, typed as Degraded{ShardDown}.
-    match engine
-        .call(Op::FindPath { u: u0, v: u1 }, &mut out)
-        .expect("inline failover answers")
-    {
-        QueryOutcome::Degraded {
-            reason: DegradeCode::ShardDown,
-            achieved_stretch,
-        } => {
-            assert!(achieved_stretch >= 1.0);
-            assert_eq!(out.first(), Some(&(u0 as usize)));
-        }
-        other => panic!("expected Degraded{{ShardDown}}, got {other:?}"),
-    }
+    // Every shard serves the same backend, so the Down owner's request
+    // is re-routed to the live shard and answered through its queue.
+    let op = Op::FindPath { u: u0, v: u1 };
+    assert_eq!(engine.dispatch_for(&op), 1);
+    let outcome = engine.call(op, &mut out).expect("failover answers");
+    assert_eq!(outcome, QueryOutcome::Full);
+    assert_eq!(out.first(), Some(&(u0 as usize)));
+    let snap = engine.snapshot();
+    assert_eq!(snap.failovers, 1);
+    assert_eq!(snap.inline_served, 0);
     // The healthy shard's requests still go through the queue as Full.
     let outcome = engine
         .call(Op::FindPath { u: u1, v: u0 }, &mut out)
         .expect("healthy shard serves");
     assert_eq!(outcome, QueryOutcome::Full);
-    assert!(engine.snapshot().inline_served > 0);
+    let snap = engine.snapshot();
+    assert_eq!(snap.failovers, 1);
+    assert_eq!(snap.inline_served, 0);
 }
 
 #[test]
