@@ -299,7 +299,7 @@ pub fn e04_cover_doubling() -> String {
         &[
             "n",
             "ε",
-            "ζ (trees)",
+            "ζ' (trees)",
             "cover stretch",
             "|H_X| (k=2)",
             "nav stretch",
@@ -313,7 +313,8 @@ pub fn e04_cover_doubling() -> String {
          (Theorem 4.1 / [ADM+95, BFN19]); navigation with k hops and \
          O(n·α_k(n)·ζ) spanner edges (Theorem 1.2). Expected shape: ζ \
          depends on ε but NOT on n; stretch → 1 as ε → 0 (the guarantee \
-         regime is ε ≤ 1/8, constants per DESIGN.md); hops ≤ k = 2.\n\n{table}\n"
+         regime is ε ≤ 1/8, constants per DESIGN.md); hops ≤ k = 2. ζ' \
+         counts the cover's distinct trees, all that it keeps.\n\n{table}\n"
     )
 }
 
@@ -524,9 +525,6 @@ pub fn e08_robust_cover() -> String {
 pub fn e09_ft_spanner() -> String {
     let n = 128;
     let m = gen::uniform_points(n, 2, &mut rng(9000));
-    // The robust cover depends on the metric and ε only, so ζ is the
-    // same for every f; the spanner keeps its distinct trees.
-    let cover_trees = RobustTreeCover::new(&m, 0.5).unwrap().tree_count();
     let mut rows = Vec::new();
     for &f in &[0usize, 1, 2, 4, 8] {
         let (sp, build) = time(|| FaultTolerantSpanner::new(&m, 0.5, f, 2).unwrap());
@@ -539,7 +537,6 @@ pub fn e09_ft_spanner() -> String {
             sp.edge_count().to_string(),
             format!("{stretch:.3}"),
             hops.to_string(),
-            cover_trees.to_string(),
             sp.tree_count().to_string(),
             ms(build),
         ]);
@@ -550,8 +547,7 @@ pub fn e09_ft_spanner() -> String {
             "edges",
             "stretch under f faults",
             "max hops",
-            "cover trees",
-            "distinct trees",
+            "trees ζ'",
             "build ms",
         ],
         &rows,
@@ -561,8 +557,9 @@ pub fn e09_ft_spanner() -> String {
          ε^{{-O(d)}}·n·f²·α_k(n) edges (Theorem 4.2); after any ≤ f faults \
          a k-hop (1+ε)-path survives (§4.4). Expected shape: edges grow \
          with f (bounded by ~f²), hops stay ≤ 2, stretch stays bounded. \
-         The spanner builds, stores and scans only the distinct trees of \
-         the robust cover (ζ cover trees, ζ' distinct).\n\n{table}\n"
+         The robust cover holds each distinct tree once (ζ' trees, \
+         independent of f), and the spanner builds, stores and scans \
+         all of them.\n\n{table}\n"
     )
 }
 
@@ -1183,41 +1180,63 @@ pub fn e20_selection_ablation() -> String {
 }
 
 /// E21: the parallel preprocessing pipeline — per-phase build telemetry
-/// and worker-count determinism on a doubling workload.
+/// and worker-count determinism on a doubling navigator and on the
+/// fault-tolerant spanner of hopbench's `mixed-ft` instance.
 pub fn e21_parallel_build() -> String {
     let n = 1024;
     let m = hopspan_metric::EuclideanSpace::from_points(
         &(0..n).map(|i| vec![i as f64]).collect::<Vec<_>>(),
     );
+    // hopbench `mixed-ft`'s point set (n = 512, its dataset seed); the
+    // smoke run shrinks it.
+    use rand::SeedableRng;
+    let n_ft = if report::smoke() { 128 } else { 512 };
+    let ft_points = gen::clustered_points(
+        n_ft,
+        2,
+        16,
+        0.02,
+        &mut rand_chacha::ChaCha8Rng::seed_from_u64(0x4853_5044 ^ 0x6d69_7864),
+    );
     let auto = hopspan_pipeline::auto_workers();
     let lint_clean = workspace_lint_clean();
+    let phase_ms = |stats: &hopspan_pipeline::BuildStats, name: &str| {
+        stats
+            .phase_duration(name)
+            .map_or_else(|| "-".into(), |d| format!("{:.1}", d.as_secs_f64() * 1e3))
+    };
+    let row = |what: &str, stats: &hopspan_pipeline::BuildStats, t: Duration| {
+        vec![
+            what.to_string(),
+            stats.workers.to_string(),
+            ms(t),
+            phase_ms(stats, "cover/trees"),
+            phase_ms(stats, "spanners"),
+            phase_ms(stats, "materialize"),
+            stats.tree_count.to_string(),
+            stats.edge_instances.to_string(),
+            format!("{} (x{:.2})", stats.edges_after_dedup, stats.dedup_ratio()),
+        ]
+    };
     let mut rows = Vec::new();
-    let mut navs = Vec::new();
+    let mut nav_edges = Vec::new();
+    let mut ft_edges = Vec::new();
     for workers in [Some(1), None] {
         let ((nav, mut stats), t) =
             time(|| MetricNavigator::doubling_with_stats(&m, 0.5, 2, workers).unwrap());
         stats.lint_clean = lint_clean;
-        rows.push(vec![
-            stats.workers.to_string(),
-            ms(t),
-            stats
-                .phase_duration("cover/trees")
-                .map_or_else(|| "-".into(), |d| format!("{:.1}", d.as_secs_f64() * 1e3)),
-            stats
-                .phase_duration("spanners")
-                .map_or_else(|| "-".into(), |d| format!("{:.1}", d.as_secs_f64() * 1e3)),
-            stats
-                .phase_duration("materialize")
-                .map_or_else(|| "-".into(), |d| format!("{:.1}", d.as_secs_f64() * 1e3)),
-            stats.tree_count.to_string(),
-            stats.edge_instances.to_string(),
-            format!("{} (x{:.2})", stats.edges_after_dedup, stats.dedup_ratio()),
-        ]);
-        navs.push(nav);
+        rows.push(row("navigator", &stats, t));
+        nav_edges.push(nav.spanner_edges().to_vec());
+        let ((ft, stats), t) =
+            time(|| FaultTolerantSpanner::new_with_stats(&ft_points, 0.5, 1, 3, workers).unwrap());
+        rows.push(row("FT spanner", &stats, t));
+        ft_edges.push(ft.edges().to_vec());
     }
-    let identical = navs[0].spanner_edges() == navs[1].spanner_edges();
+    let identical = nav_edges[0] == nav_edges[1] && ft_edges[0] == ft_edges[1];
+    assert!(identical, "E21: edge sets differ across worker counts");
     let table = md_table(
         &[
+            "build",
             "workers",
             "build ms",
             "cover trees ms",
@@ -1230,15 +1249,18 @@ pub fn e21_parallel_build() -> String {
         &rows,
     );
     format!(
-        "Per-tree spanner builds fan out over scoped worker threads and \
-         join in tree index order, so `H_X` is bit-identical for every \
+        "Per-tree builds fan out over scoped worker threads and join in \
+         tree index order, so the edge sets are bit-identical for every \
          worker count (available parallelism here: {auto}). Expected \
-         shape: identical edge sets; the `spanners` phase shrinks with \
-         workers on multicore hosts while `cover trees` + `materialize` \
-         stay sequential. Edge sets identical across worker counts: \
-         **{identical}** (n = {n}, line metric, ε = 0.5, k = 2). \
-         Source tree lint-clean (`hopspan-lint` in-process, stamped into \
-         `BuildStats.lint_clean`): **{lint_clean}**.\n\n{table}\n",
+         shape: identical edge sets; the `cover trees` and `spanners` \
+         phases, which both run on the worker pipeline, shrink with \
+         workers on multicore hosts, while `materialize` stays \
+         sequential. Navigator: n = {n}, line metric, ε = 0.5, k = 2. FT \
+         spanner: hopbench `mixed-ft`'s clustered points (n = {n_ft}, 16 \
+         clusters), ε = 0.5, f = 1, k = 3. Edge sets identical across \
+         worker counts: **{identical}**. Source tree lint-clean \
+         (`hopspan-lint` in-process, stamped into `BuildStats.lint_clean`): \
+         **{lint_clean}**.\n\n{table}\n",
     )
 }
 

@@ -11,7 +11,7 @@
 //! `x, y` retains a non-faulty point (a set smaller than `f+1` consists of
 //! ancestors of `x` or `y` only), so a k-hop `(1+ε)`-path survives.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 use hopspan_metric::Metric;
@@ -19,20 +19,21 @@ use hopspan_pipeline::BuildStats;
 use hopspan_tree_cover::{DominatingTree, RobustTreeCover};
 use hopspan_tree_spanner::{TreeHopSpanner, TreeSpannerError};
 
+use crate::materialize::{pair_key, EdgeMerger};
 use crate::navigation::NavTree;
 use crate::NavigationError;
 
 /// An f-fault-tolerant `(1+O(ε))`-spanner with hop-diameter `k` for a
 /// doubling metric, with fault-tolerant navigation. A query scans every
-/// distinct tree of the robust cover (repeated trees are dropped at
-/// build time), so it takes O(ζ'·k) time for ζ' distinct trees.
+/// tree of the robust cover, which holds each distinct tree once, so it
+/// takes O(ζ'·k) time for ζ' distinct trees.
 ///
-/// Each distinct tree keeps only what the query reads: its Theorem 1.1
-/// tree spanner (the navigation structure over its leaves), a `u32`
-/// point → leaf table, and the `R(v)` candidate sets as one `u32` CSR
-/// pair. The cover tree itself (its LCA table, child lists and
-/// descendant-leaf spans) is dropped once the candidates and the
-/// biclique edges are derived from it.
+/// Each tree keeps only what the query reads: its Theorem 1.1 tree
+/// spanner's navigation structure over its leaves, a `u32` point → leaf
+/// table, and the `R(v)` candidate sets as one `u32` CSR pair. The cover
+/// tree itself (its LCA table, child lists and descendant-leaf spans)
+/// and the tree spanner's edge list are dropped once the candidates and
+/// the biclique edges are derived from them.
 ///
 /// # Examples
 ///
@@ -76,17 +77,30 @@ struct FtTree {
     cand: Vec<u32>,
 }
 
+/// One tree's share of the build: the kept [`FtTree`] and its biclique
+/// point pairs.
+struct BuiltTree {
+    tree: FtTree,
+    /// Edges of the tree's Theorem 1.1 spanner.
+    spanner_edges: usize,
+    /// Biclique instances `R(u) × R(v)` over those edges, before dedup.
+    instances: usize,
+    /// The distinct biclique pairs as sorted [`pair_key`]s.
+    pairs: Vec<u64>,
+}
+
 impl FtTree {
-    /// Builds the per-tree spanner and candidate sets, and returns the
+    /// Builds the per-tree spanner and candidate sets and derives the
     /// biclique point pairs `R(u) × R(v)` over the spanner edges; `dom`
-    /// is dropped here.
+    /// and the spanner's edge list are dropped here.
     fn build(
         dom: DominatingTree,
         n: usize,
         f: usize,
         k: usize,
-    ) -> Result<(Self, Vec<(u32, u32)>), TreeSpannerError> {
-        let NavTree { dom, spanner } = NavTree::new(dom, k)?;
+    ) -> Result<BuiltTree, TreeSpannerError> {
+        let NavTree { dom, mut spanner } = NavTree::new(dom, k)?;
+        let spanner_edges = spanner.take_edges();
         let m = dom.tree().len();
         let mut cand_off = Vec::with_capacity(m + 1);
         let mut cand = Vec::new();
@@ -98,23 +112,32 @@ impl FtTree {
         let leaf_of = (0..n)
             .map(|p| dom.leaf_of(p).map_or(u32::MAX, narrow))
             .collect();
-        let t = FtTree {
+        let tree = FtTree {
             spanner,
             leaf_of,
             cand_off,
             cand,
         };
         let mut pairs = Vec::new();
-        for &(a, b, _) in t.spanner.edges() {
-            for &pa in t.candidates(a) {
-                for &pb in t.candidates(b) {
+        for &(a, b, _) in &spanner_edges {
+            for &pa in tree.candidates(a) {
+                for &pb in tree.candidates(b) {
                     if pa != pb {
-                        pairs.push((pa.min(pb), pa.max(pb)));
+                        // Keyed low-to-high: the weight is δ(min, max).
+                        pairs.push(pair_key(pa.min(pb) as usize, pa.max(pb) as usize));
                     }
                 }
             }
         }
-        Ok((t, pairs))
+        let instances = pairs.len();
+        pairs.sort_unstable();
+        pairs.dedup();
+        Ok(BuiltTree {
+            tree,
+            spanner_edges: spanner_edges.len(),
+            instances,
+            pairs,
+        })
     }
 
     /// `R(v)`: the candidate points of tree vertex `v`.
@@ -381,46 +404,33 @@ impl FaultTolerantSpanner {
         let mut stats = BuildStats::new(workers);
         let (cover, cover_stats) = RobustTreeCover::new_with_stats(metric, eps, Some(workers))?;
         stats.absorb("cover", cover_stats);
-        // A repeated tree gives exactly the paths, candidates and
-        // weights of its first occurrence, so it can never win the
-        // first-strict-minimum scan below, and its bicliques add no
-        // edge: drop it before it is built, stored or scanned.
-        let doms = stats.phase("dedup", || cover.into_cover().into_distinct_trees());
         // Per-tree spanner + candidate sets + biclique point pairs, in
         // parallel; metric access happens only in the sequential
         // materialization below, where distances are attached to the
-        // deduplicated pairs in tree order.
-        let built: Vec<(FtTree, Vec<(u32, u32)>)> = stats.phase("spanners", || {
-            hopspan_pipeline::try_parallel_map_owned(workers, doms, |_, dom| {
-                FtTree::build(dom, n, f, k)
-            })
+        // deduplicated pairs.
+        let built: Vec<BuiltTree> = stats.phase("spanners", || {
+            hopspan_pipeline::try_parallel_map_owned(
+                workers,
+                cover.into_cover().into_trees(),
+                |_, dom| FtTree::build(dom, n, f, k),
+            )
             .map_err(NavigationError::Pipeline)?
             .into_iter()
             .collect::<Result<_, TreeSpannerError>>()
             .map_err(NavigationError::Spanner)
         })?;
         stats.tree_count = built.len();
-        stats.per_tree_spanner_edges = built.iter().map(|(t, _)| t.spanner.edges().len()).collect();
-        // The BTreeMap leaves the dedup'd edge list sorted by (u, v)
-        // regardless of insertion order — part of the bit-identical
-        // build guarantee.
-        let (trees, edges, instances) = stats.phase("materialize", || {
-            let mut edge_set: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-            let mut instances = 0usize;
+        stats.per_tree_spanner_edges = built.iter().map(|b| b.spanner_edges).collect();
+        stats.edge_instances = built.iter().map(|b| b.instances).sum();
+        let (trees, edges) = stats.phase("materialize", || {
+            let mut merger = EdgeMerger::default();
             let mut trees = Vec::with_capacity(built.len());
-            for (t, pairs) in built {
-                instances += pairs.len();
-                for (a, b) in pairs {
-                    let (a, b) = (a as usize, b as usize);
-                    edge_set.entry((a, b)).or_insert_with(|| metric.dist(a, b));
-                }
-                trees.push(t);
+            for b in built {
+                merger.extend(b.pairs);
+                trees.push(b.tree);
             }
-            let edges: Vec<(usize, usize, f64)> =
-                edge_set.into_iter().map(|((a, b), w)| (a, b, w)).collect();
-            (trees, edges, instances)
+            (trees, merger.finish(metric))
         });
-        stats.edge_instances = instances;
         stats.edges_after_dedup = edges.len();
         Ok((
             FaultTolerantSpanner {
@@ -466,8 +476,7 @@ impl FaultTolerantSpanner {
     }
 
     /// Number of distinct cover trees ζ' the spanner keeps and every
-    /// query scans (at most the robust cover's ζ; see
-    /// [`hopspan_tree_cover::TreeCover::into_distinct_trees`]).
+    /// query scans (see [`RobustTreeCover::tree_count`]).
     #[inline]
     pub fn tree_count(&self) -> usize {
         self.trees.len()

@@ -41,6 +41,7 @@
 mod error;
 mod fault_tolerant;
 mod fnv;
+mod materialize;
 mod navigation;
 
 pub use error::HopspanError;

@@ -11,7 +11,6 @@
 //! tree) — then run the O(k) tree navigation and map tree vertices to
 //! points.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use hopspan_metric::{Graph, Metric};
@@ -22,6 +21,8 @@ use hopspan_tree_cover::{
 use hopspan_tree_spanner::{SpannerParts, TreeHopSpanner, TreeSpannerError};
 use hopspan_treealg::RootedTree;
 use rand::Rng;
+
+use crate::materialize::{pair_key, EdgeMerger};
 
 /// Error type for [`MetricNavigator`].
 #[derive(Debug)]
@@ -391,25 +392,22 @@ impl MetricNavigator {
         stats.tree_count = trees.len();
         stats.per_tree_spanner_edges = trees.iter().map(|t| t.spanner.edges().len()).collect();
         // Materialize H_X: every tree-spanner edge becomes a point edge.
-        // Sequential, in tree order — the dedup winner per point pair is
-        // deterministic, and the BTreeMap leaves the edge list sorted by
-        // (u, v) regardless of insertion order.
+        // Sequential, in tree order, so the first instance of each point
+        // pair — whose orientation the weight is read in — is fixed, and
+        // the edge list comes out sorted by (u, v).
         let (edges, instances) = stats.phase("materialize", || {
-            let mut edge_set: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+            let mut merger = EdgeMerger::default();
             let mut instances = 0usize;
             for t in &trees {
-                for &(a, b, _) in t.spanner.edges() {
+                merger.extend(t.spanner.edges().iter().filter_map(|&(a, b, _)| {
                     let (pa, pb) = (t.dom.point_of(a), t.dom.point_of(b));
-                    if pa != pb {
+                    (pa != pb).then(|| {
                         instances += 1;
-                        let key = (pa.min(pb), pa.max(pb));
-                        edge_set.entry(key).or_insert_with(|| metric.dist(pa, pb));
-                    }
-                }
+                        pair_key(pa, pb)
+                    })
+                }));
             }
-            let edges: Vec<(usize, usize, f64)> =
-                edge_set.into_iter().map(|((a, b), w)| (a, b, w)).collect();
-            (edges, instances)
+            (merger.finish(metric), instances)
         });
         stats.edge_instances = instances;
         stats.edges_after_dedup = edges.len();

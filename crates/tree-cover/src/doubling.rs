@@ -1,7 +1,7 @@
 //! The Robust Tree Cover Theorem for doubling metrics (paper Theorem 4.1,
 //! §4.2 Step 2, with the §4.3 merging rule).
 //!
-//! For every slot `j < σ₃` and residue `p < L` (`L = ⌈log 1/ε⌉`), a tree
+//! For every residue `p < L` (`L = ⌈log 1/ε⌉ + 2`) and slot `j`, a tree
 //! `T_{j,p}` is grown bottom-up through the levels `i ≡ p (mod L)`: for
 //! every pair `(x, y)` of the `j`-th pairing set of 𝒞_i, the trees of `x`
 //! and `y` and all trees holding a lower-net point near either are merged
@@ -11,8 +11,13 @@
 //! `N_i`. Internal nodes are *associated* with a net point that is always
 //! one of their descendant leaves — the robustness property (Definition
 //! 4.1(2)) that the fault-tolerant constructions of §4 rely on.
-
-use std::collections::HashMap;
+//!
+//! The paper takes `j < σ₃` for every residue, σ₃ being the largest
+//! pairing cover over all levels. A slot `j ≥ σ₃(p)`, the largest cover
+//! among the levels of residue `p`, pairs nothing at any of them, so all
+//! those trees run the §4.3 rule alone and are identical: the cover
+//! builds the first one (`j = σ₃(p)`) only, and keeps each distinct tree
+//! once, in `(j, p)` order.
 
 use hopspan_metric::Metric;
 use hopspan_pipeline::BuildStats;
@@ -103,12 +108,124 @@ impl Forest {
     }
 }
 
+/// Per level `l ≥ period`, the lower-net points of level `l - period`
+/// near each net point of level `l`, as a `u32` CSR indexed by the net
+/// point's position in `nets.levels()[l].points`.
+struct NearSets {
+    /// Per level: CSR offsets (one more than the level's net size).
+    off: Vec<Vec<u32>>,
+    /// Per level: the concatenated near lists.
+    list: Vec<Vec<u32>>,
+    /// Per level: point -> its position in the level's net
+    /// (`u32::MAX` for a point outside the net).
+    pos: Vec<Vec<u32>>,
+}
+
+impl NearSets {
+    fn new<M: Metric>(metric: &M, nets: &NetHierarchy, eps: f64, period: usize) -> Self {
+        let levels = nets.levels();
+        let mut near = NearSets {
+            off: vec![Vec::new(); levels.len()],
+            list: vec![Vec::new(); levels.len()],
+            pos: vec![Vec::new(); levels.len()],
+        };
+        for l in period..levels.len() {
+            let r = 2.0 * exp2(levels[l].scale_exp)
+                + (1.0 / eps + 24.0) * exp2(levels[l - period].scale_exp);
+            let lower = &levels[l - period].points;
+            let (off, list, pos) = (&mut near.off[l], &mut near.list[l], &mut near.pos[l]);
+            *pos = vec![u32::MAX; nets.point_count()];
+            off.push(0);
+            for (i, &z) in levels[l].points.iter().enumerate() {
+                pos[z] = narrow(i);
+                list.extend(
+                    lower
+                        .iter()
+                        .filter(|&&w| metric.dist(z, w) <= r)
+                        .map(|&w| narrow(w)),
+                );
+                off.push(narrow(list.len()));
+            }
+        }
+        near
+    }
+
+    /// The near list of the `i`-th net point of level `l`.
+    #[inline]
+    fn at(&self, l: usize, i: usize) -> &[u32] {
+        let off = &self.off[l];
+        &self.list[l][off[i] as usize..off[i + 1] as usize]
+    }
+
+    /// Appends the near list of net point `x` of level `l` to `out`.
+    fn extend(&self, l: usize, x: usize, out: &mut Vec<usize>) {
+        let i = self.pos[l][x] as usize;
+        out.extend(self.at(l, i).iter().map(|&w| w as usize));
+    }
+}
+
+/// Narrows a point id, a net position or a near-list offset to `u32`.
+fn narrow(x: usize) -> u32 {
+    // hopspan:allow(panic-in-lib) -- point ids and a level's near lists (a packing-bounded multiple of n entries) stay far below 2³²
+    u32::try_from(x).expect("near-set table fits u32")
+}
+
+/// The merge step of one tree build, with its reusable scratch.
+struct Merger {
+    /// The distinct tree nodes of the current merge, first-seen order.
+    nodes: Vec<usize>,
+    /// Per tree node: the merge that last saw it.
+    seen: Vec<u32>,
+    stamp: u32,
+}
+
+impl Merger {
+    fn new(max_nodes: usize) -> Self {
+        Merger {
+            nodes: Vec::new(),
+            seen: vec![0; max_nodes],
+            stamp: 0,
+        }
+    }
+
+    /// Merges the current trees of `pts` under a new node for `anchor`
+    /// (a no-op when they already form one tree).
+    fn merge<M: Metric>(
+        &mut self,
+        metric: &M,
+        asm: &mut TreeAssembler,
+        forest: &mut Forest,
+        pts: &[usize],
+        anchor: usize,
+    ) {
+        self.stamp += 1;
+        self.nodes.clear();
+        for &p in pts {
+            let nd = forest.node_of(p);
+            if self.seen[nd] != self.stamp {
+                self.seen[nd] = self.stamp;
+                self.nodes.push(nd);
+            }
+        }
+        if self.nodes.len() <= 1 {
+            return;
+        }
+        let v = asm.add(anchor);
+        for &nd in &self.nodes {
+            let w = metric.dist(anchor, asm.point_of[nd]);
+            asm.attach(nd, v, w);
+        }
+        forest.union_under(pts, v);
+    }
+}
+
 impl RobustTreeCover {
     /// Builds the robust tree cover with parameter `eps ∈ (0, 1]`.
     ///
-    /// The construction parameter is used exactly as in §4.2 (separation
-    /// `(3/ε)2^i`, pairing radius `2^i/ε`, period `L = ⌈log 1/ε⌉`); the
-    /// worst-case stretch guarantee is `1 + O(ε)` and
+    /// The construction follows §4.2 with the widened constants of
+    /// DESIGN.md §2 (pairing radius `(1/ε + 4)·2^i`, separation three
+    /// times that, period `L = ⌈log 1/ε⌉ + 2`) and keeps each distinct
+    /// tree once; the worst-case stretch guarantee is `1 + O(ε)` and
     /// [`RobustTreeCover::cover`]`.measured_stretch` reports the realized
     /// value.
     ///
@@ -139,7 +256,6 @@ impl RobustTreeCover {
                 what: "eps must be in (0, 1]",
             });
         }
-        let n = metric.len();
         // Period L = ⌈log 1/ε⌉ + 2: the two extra levels shrink lower-
         // forest diameters by an extra factor 4, which closes the Lemma
         // 4.3 diameter induction for every ε ≤ 5/8 instead of only ε ≤
@@ -153,44 +269,13 @@ impl RobustTreeCover {
         // ⌊log₂ δ_min⌋. `period` extra levels below serve as companions.
         let workers = hopspan_pipeline::resolve_workers(workers);
         let mut stats = BuildStats::new(workers);
-        let scan = std::time::Instant::now();
-        let mut dmin = f64::INFINITY;
-        let mut dmax: f64 = 0.0;
-        let mut closest = (0usize, 0usize);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = metric.dist(i, j);
-                if !d.is_finite() || d < 0.0 {
-                    // NaN slips past both comparisons below and an
-                    // infinite dmax overflows the scale exponents; fail
-                    // typed before any arithmetic sees the value.
-                    return Err(CoverError::BadDistance { i, j, value: d });
-                }
-                if d < dmin {
-                    dmin = d;
-                    closest = (i, j);
-                }
-                dmax = dmax.max(d);
-            }
-        }
-        stats.record_phase("scan", scan.elapsed());
-        if dmin <= 0.0 {
-            // A zero-distance pair would send the scale computation below
-            // to log₂(0) = -∞; reject it with the dedicated error instead.
-            return Err(CoverError::DuplicatePoints {
-                i: closest.0,
-                j: closest.1,
-            });
-        }
         let nets = stats.phase("nets", || {
-            if n <= 1 || !dmin.is_finite() {
-                NetHierarchy::new(metric, 0, 0)
-            } else {
+            NetHierarchy::over_range(metric, |dmin, dmax| {
                 let low_main =
                     ((4.0 * eps * dmin).log2().floor() as i32).min(dmin.log2().floor() as i32 - 1);
                 let high = ((2.0 * eps * dmax).log2().ceil() as i32 + 1).max(low_main);
-                NetHierarchy::new(metric, low_main - period as i32, high)
-            }
+                (low_main - period as i32, high)
+            })
         })?;
         let pairing = stats.phase("pairing", || PairingCover::new(metric, &nets, eps));
         let slots = pairing.max_sets();
@@ -204,36 +289,29 @@ impl RobustTreeCover {
         // diameter ≤ (1/ε + 24)·2^{i'} (the Lemma 4.3 induction, with our
         // constants), so r = 2·2^i + (1/ε + 24)·2^{i'} suffices; the
         // induction closes for ε ≤ 1/8 and degrades gracefully above.
-        let near = stats.phase("near-sets", || {
-            let mut near: Vec<HashMap<usize, Vec<usize>>> = vec![HashMap::new(); levels];
-            for l in period..levels {
-                let r = 2.0 * exp2(nets.levels()[l].scale_exp)
-                    + (1.0 / eps + 24.0) * exp2(nets.levels()[l - period].scale_exp);
-                let lower = &nets.levels()[l - period].points;
-                let map = &mut near[l];
-                for &z in &nets.levels()[l].points {
-                    let list: Vec<usize> = lower
-                        .iter()
-                        .copied()
-                        .filter(|&w| metric.dist(z, w) <= r)
-                        .collect();
-                    map.insert(z, list);
-                }
-            }
-            near
-        });
+        let near = stats.phase("near-sets", || NearSets::new(metric, &nets, eps, period));
 
-        // The σ₃·L trees are independent; build them on the shared
-        // worker pipeline (order-preserving, so the cover is identical
-        // for every worker count).
+        // Slot counts per residue: σ₃(p) = max over the levels l ≡ p of
+        // |𝒞_l|. Slots j > σ₃(p) repeat the pairless tree j = σ₃(p).
+        let mut residue_slots = vec![0usize; period];
+        for l in period..levels {
+            let p = (l - period) % period;
+            residue_slots[p] = residue_slots[p].max(pairing.level(l).len());
+        }
+        // The trees are independent; build them on the shared worker
+        // pipeline (order-preserving, so the cover is identical for every
+        // worker count).
         let jobs: Vec<(usize, usize)> = (0..slots.max(1))
             .flat_map(|j| (0..period).map(move |p| (j, p)))
+            .filter(|&(j, p)| j <= residue_slots[p])
             .collect();
         let build = std::time::Instant::now();
         let trees: Vec<DominatingTree> =
             hopspan_pipeline::parallel_map(workers, &jobs, |_, &(j, p)| {
-                Self::build_tree(metric, &nets, &pairing, &near, n, j, p, period)
+                Self::build_tree(metric, &nets, &pairing, &near, j, p, period)
             });
+        // A paired tree may still repeat another tree exactly.
+        let trees = TreeCover::new(trees).into_distinct_trees();
         stats.record_phase("trees", build.elapsed());
         stats.tree_count = trees.len();
         Ok((
@@ -249,41 +327,24 @@ impl RobustTreeCover {
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn build_tree<M: Metric>(
         metric: &M,
         nets: &NetHierarchy,
         pairing: &PairingCover,
-        near: &[HashMap<usize, Vec<usize>>],
-        n: usize,
+        near: &NearSets,
         slot: usize,
         residue: usize,
         period: usize,
     ) -> DominatingTree {
+        let n = nets.point_count();
         let mut asm = TreeAssembler::new();
         // Leaves in 1-to-1 correspondence with points (Def. 4.1(1)).
         let leaves: Vec<usize> = (0..n).map(|p| asm.add(p)).collect();
         let mut forest = Forest::new(&leaves);
         let levels = nets.levels().len();
-        // Helper: merge the current trees of `pts` under a node for `anchor`.
-        let merge = |asm: &mut TreeAssembler, forest: &mut Forest, pts: &[usize], anchor: usize| {
-            let mut nodes: Vec<usize> = Vec::with_capacity(pts.len());
-            for &p in pts {
-                let nd = forest.node_of(p);
-                if !nodes.contains(&nd) {
-                    nodes.push(nd);
-                }
-            }
-            if nodes.len() <= 1 {
-                return;
-            }
-            let v = asm.add(anchor);
-            for nd in nodes {
-                let w = metric.dist(anchor, asm.point_of[nd]);
-                asm.attach(nd, v, w);
-            }
-            forest.union_under(pts, v);
-        };
+        // Every merge joins ≥ 2 trees, so a tree has < 2n vertices.
+        let mut merger = Merger::new(2 * n);
+        let mut pts: Vec<usize> = Vec::new();
         for l in period..levels {
             if (l - period) % period != residue % period {
                 continue;
@@ -292,20 +353,22 @@ impl RobustTreeCover {
             let sets = pairing.level(l);
             if let Some(set) = sets.get(slot) {
                 for &(x, y) in &set.pairs {
-                    let mut pts: Vec<usize> = vec![x, y];
-                    pts.extend(near[l][&x].iter().copied());
+                    pts.clear();
+                    pts.extend([x, y]);
+                    near.extend(l, x, &mut pts);
                     if x != y {
-                        pts.extend(near[l][&y].iter().copied());
+                        near.extend(l, y, &mut pts);
                     }
-                    merge(&mut asm, &mut forest, &pts, x);
+                    merger.merge(metric, &mut asm, &mut forest, &pts, x);
                 }
             }
             // §4.3 rule: every net point of N_i absorbs the nearby trees
             // of the lower net, keeping every tree anchored at N_i.
-            for &z in &nets.levels()[l].points {
-                let mut pts: Vec<usize> = vec![z];
-                pts.extend(near[l][&z].iter().copied());
-                merge(&mut asm, &mut forest, &pts, z);
+            for (i, &z) in nets.levels()[l].points.iter().enumerate() {
+                pts.clear();
+                pts.push(z);
+                pts.extend(near.at(l, i).iter().map(|&w| w as usize));
+                merger.merge(metric, &mut asm, &mut forest, &pts, z);
             }
         }
         // Final merge of whatever forest remains.
@@ -344,7 +407,7 @@ impl RobustTreeCover {
         &self.cover
     }
 
-    /// The number of trees ζ = σ₃ · L.
+    /// The number of distinct trees ζ' (at most σ₃ · L).
     #[inline]
     pub fn tree_count(&self) -> usize {
         self.cover.len()
@@ -356,13 +419,14 @@ impl RobustTreeCover {
         self.eps
     }
 
-    /// The level period `L = ⌈log 1/ε⌉`.
+    /// The level period `L = ⌈log 1/ε⌉ + 2`.
     #[inline]
     pub fn period(&self) -> usize {
         self.period
     }
 
-    /// The slot count σ₃ (trees per residue).
+    /// The slot count σ₃: the largest pairing cover over all levels,
+    /// which bounds the trees per residue.
     #[inline]
     pub fn slots(&self) -> usize {
         self.slots
@@ -450,6 +514,48 @@ mod tests {
         let cs = RobustTreeCover::new(&small, 0.5).unwrap().tree_count();
         let cb = RobustTreeCover::new(&big, 0.5).unwrap().tree_count();
         assert!(cb <= 2 * cs + 8, "ζ grew with n: {cs} -> {cb}");
+    }
+
+    /// The cover keeps exactly the distinct trees of the paper's full
+    /// enumeration, every slot j < σ₃ for every residue, in order.
+    #[test]
+    fn pairless_slots_repeat_one_tree_per_residue() {
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let uniform = gen::uniform_points(40, 2, &mut rng);
+        let clustered = gen::clustered_points(64, 2, 16, 0.02, &mut rng);
+        for (m, eps) in [(&uniform, 0.5), (&clustered, 0.5), (&clustered, 0.25)] {
+            let rc = RobustTreeCover::new(m, eps).unwrap();
+            let near = NearSets::new(m, rc.nets(), eps, rc.period());
+            let all: Vec<DominatingTree> = (0..rc.slots())
+                .flat_map(|j| (0..rc.period()).map(move |p| (j, p)))
+                .map(|(j, p)| {
+                    RobustTreeCover::build_tree(
+                        m,
+                        rc.nets(),
+                        rc.pairing(),
+                        &near,
+                        j,
+                        p,
+                        rc.period(),
+                    )
+                })
+                .collect();
+            let full = all.len();
+            let distinct = TreeCover::new(all).into_distinct_trees();
+            assert!(rc.tree_count() < full, "no repeated tree to drop");
+            assert_eq!(distinct.len(), rc.tree_count());
+            for (a, b) in distinct.iter().zip(rc.cover().trees()) {
+                let (ta, tb) = (a.tree(), b.tree());
+                assert_eq!(ta.len(), tb.len());
+                assert_eq!(ta.root(), tb.root());
+                for v in 0..ta.len() {
+                    assert_eq!(ta.parent(v), tb.parent(v));
+                    assert_eq!(ta.parent_weight(v).to_bits(), tb.parent_weight(v).to_bits());
+                    assert_eq!(a.point_of(v), b.point_of(v));
+                    assert_eq!(ta.children(v), tb.children(v));
+                }
+            }
+        }
     }
 
     #[test]

@@ -65,6 +65,69 @@ impl NetHierarchy {
                 }
             }
         }
+        Ok(Self::build(metric, low_exp, high_exp))
+    }
+
+    /// Builds the hierarchy over the scale range that `range` picks from
+    /// the smallest and largest pairwise distance; the one all-pairs
+    /// scan that finds the two also validates every distance. A single
+    /// point gets the one trivial level `[0, 0]`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoverError::Empty`] for an empty metric; else
+    /// [`CoverError::BadDistance`] for the first NaN, infinite or
+    /// negative distance; else [`CoverError::DuplicatePoints`] for the
+    /// first zero-distance pair; else [`CoverError::InvalidParameter`]
+    /// when `range` returns a reversed range.
+    pub(crate) fn over_range<M: Metric>(
+        metric: &M,
+        range: impl FnOnce(f64, f64) -> (i32, i32),
+    ) -> Result<Self, CoverError> {
+        let n = metric.len();
+        if n == 0 {
+            return Err(CoverError::Empty);
+        }
+        let mut dmin = f64::INFINITY;
+        let mut dmax: f64 = 0.0;
+        let mut closest = (0usize, 0usize);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = metric.dist(i, j);
+                // Reject NaN/∞/negative entries up front: an infinite
+                // dmax would overflow the i32 exponent arithmetic of
+                // `range`, and NaN slips past every ordered comparison.
+                if !d.is_finite() || d < 0.0 {
+                    return Err(CoverError::BadDistance { i, j, value: d });
+                }
+                if d < dmin {
+                    dmin = d;
+                    closest = (i, j);
+                }
+                dmax = dmax.max(d);
+            }
+        }
+        if dmin <= 0.0 {
+            // log₂(0) in `range` would underflow the scale range; report
+            // the zero-distance pair instead.
+            return Err(CoverError::DuplicatePoints {
+                i: closest.0,
+                j: closest.1,
+            });
+        }
+        let (low, high) = if n == 1 { (0, 0) } else { range(dmin, dmax) };
+        if low > high {
+            return Err(CoverError::InvalidParameter {
+                what: "low_exp > high_exp",
+            });
+        }
+        Ok(Self::build(metric, low, high))
+    }
+
+    /// The greedy nets for every scale in `[low_exp, high_exp]` over a
+    /// validated metric.
+    fn build<M: Metric>(metric: &M, low_exp: i32, high_exp: i32) -> Self {
+        let n = metric.len();
         let mut levels: Vec<NetLevel> = Vec::new();
         let mut nearest_net: Vec<Vec<usize>> = Vec::new();
         let mut prev: Vec<usize> = (0..n).collect();
@@ -102,11 +165,11 @@ impl NetHierarchy {
             });
             prev = keep;
         }
-        Ok(NetHierarchy {
+        NetHierarchy {
             levels,
             nearest_net,
             n,
-        })
+        }
     }
 
     /// Convenience: builds the range of scales needed for an ε-pairing
@@ -115,7 +178,8 @@ impl NetHierarchy {
     ///
     /// # Errors
     ///
-    /// Propagates the errors of [`NetHierarchy::new`].
+    /// The errors of [`NetHierarchy::new`], and
+    /// [`CoverError::InvalidParameter`] for `eps` outside `(0, 1]`.
     pub fn for_epsilon<M: Metric>(
         metric: &M,
         eps: f64,
@@ -126,44 +190,11 @@ impl NetHierarchy {
                 what: "eps must be in (0, 1]",
             });
         }
-        let n = metric.len();
-        if n == 0 {
-            return Err(CoverError::Empty);
-        }
-        let mut dmin = f64::INFINITY;
-        let mut dmax: f64 = 0.0;
-        let mut closest = (0usize, 0usize);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = metric.dist(i, j);
-                // Reject NaN/∞/negative entries up front: an infinite
-                // dmax would overflow the i32 exponent arithmetic below,
-                // and NaN slips past every ordered comparison.
-                if !d.is_finite() || d < 0.0 {
-                    return Err(CoverError::BadDistance { i, j, value: d });
-                }
-                if d < dmin {
-                    dmin = d;
-                    closest = (i, j);
-                }
-                dmax = dmax.max(d);
-            }
-        }
-        if dmin <= 0.0 {
-            // log₂(0) below would underflow the scale range; report the
-            // zero-distance pair instead.
-            return Err(CoverError::DuplicatePoints {
-                i: closest.0,
-                j: closest.1,
-            });
-        }
-        if n == 1 {
-            // Single point: one trivial level.
-            return NetHierarchy::new(metric, 0, 0);
-        }
-        let low = (4.0 * eps * dmin).log2().floor() as i32 - extra_low;
-        let high = (2.0 * eps * dmax).log2().ceil() as i32 + 1;
-        NetHierarchy::new(metric, low.min(high), high)
+        NetHierarchy::over_range(metric, |dmin, dmax| {
+            let low = (4.0 * eps * dmin).log2().floor() as i32 - extra_low;
+            let high = (2.0 * eps * dmax).log2().ceil() as i32 + 1;
+            (low.min(high), high)
+        })
     }
 
     /// Number of points in the underlying metric.

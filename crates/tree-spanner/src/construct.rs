@@ -8,31 +8,108 @@
 //! vertices are the cut vertices (paper line 10 of Algorithm 1).
 //!
 //! All query-time tables are dense `Vec`s indexed by contracted id, Φ
-//! node id, or home slot — the `BTreeMap`s used during construction
-//! never survive into the query path. Base-case paths are precomputed
-//! here (all ordered pairs per `HandleBaseCase` leaf), so queries never
-//! run the per-pair BFS + Bellman–Ford; see [`BaseTable`].
-
-use std::collections::BTreeMap;
+//! node id, or home slot, and construction itself uses dense
+//! per-vertex vectors and one [`Scratch`] shared by every recursive
+//! call. Base-case paths are precomputed here (all ordered pairs per
+//! `HandleBaseCase` leaf), so queries never run the BFS + Bellman–Ford;
+//! see [`BaseTable`].
 
 use hopspan_treealg::{Lca, LevelAncestor, RootedTree};
 
 use crate::ackermann::alpha_prime;
-use crate::local_tree::LocalTree;
+use crate::local_tree::{LocalTree, PruneFrame, Shape};
 
 /// A vertex's navigation pointer: its home Φ node and its slot within
 /// that node's `inner` list (`u.ptr(Φ).h` in the paper, plus the dense
 /// index replacing per-query map lookups).
 pub(crate) type HomeRef = (usize, u32);
 
-/// Build-time map from original vertex id to [`HomeRef`]; the public
-/// wrapper densifies the top-level one, and `build_call` folds each
-/// sub-navigator's map into its parent's [`Contracted::cut_sub_home`].
-pub(crate) type HomeMap = BTreeMap<usize, HomeRef>;
+/// What a navigator build leaves for its caller besides the
+/// [`Navigator`]: every required vertex's home, and the base-case
+/// spanner edges. The public wrapper densifies both into its
+/// per-vertex tables; `build_call` folds a sub-navigator's homes into
+/// its parent's [`Contracted::cut_sub_home`] and drops the rest.
+#[derive(Debug, Default)]
+pub(crate) struct BuildOutput {
+    /// `(original vertex id, home)`, one entry per required vertex.
+    pub homes: Vec<(usize, HomeRef)>,
+    /// Base-case spanner edges `(u, v, w)` (original ids), in the
+    /// order the base cases emitted them. Base cases of one navigator
+    /// are vertex-disjoint, so each vertex's incident entries are
+    /// exactly its base adjacency, in order.
+    pub base_edges: Vec<(usize, usize, f64)>,
+    /// Every vertex of every base case, Steiner vertices included.
+    pub base_members: Vec<usize>,
+}
 
-/// Build-time base adjacency (original ids), kept only so the public
-/// wrapper can expose a CSR view; queries use [`BaseTable`] instead.
-pub(crate) type BaseAdj = BTreeMap<usize, Vec<(usize, f64)>>;
+/// Build-time working memory shared by every recursive call of one
+/// top-level build, sized by the top-level tree: every local tree of
+/// the recursion is a subtree of it, so local indices and original ids
+/// both stay below its vertex count.
+pub(crate) struct Scratch {
+    /// Visit stamps over local indices for [`collect_adjacent`].
+    seen: Vec<u32>,
+    stamp: u32,
+    /// DFS stack of [`collect_adjacent`].
+    stack: Vec<(usize, f64)>,
+    /// Output of [`collect_adjacent`].
+    reach: Vec<(usize, f64)>,
+    /// Original id -> home, written and read back while folding one
+    /// sub-navigator's homes.
+    home: Vec<HomeRef>,
+    /// Working buffers of [`handle_base_case`].
+    base: BaseScratch,
+    /// Spare trees to prune components into; a call takes one per
+    /// component and returns it once the component's call is done.
+    spare: Vec<LocalTree>,
+    /// DFS stack of `Prune`.
+    prune_stack: Vec<PruneFrame>,
+}
+
+/// Working buffers of one base case, over its O(k) local vertices.
+#[derive(Default)]
+struct BaseScratch {
+    /// Base spanner edges over local indices, in emission order.
+    edges: Vec<(usize, usize, f64)>,
+    /// CSR adjacency of `edges`: offsets and `(neighbor, weight)` lists,
+    /// each list in emission order.
+    off: Vec<usize>,
+    nbr: Vec<(usize, f64)>,
+    /// The required (member) vertices, ascending.
+    inner: Vec<usize>,
+    /// BFS order from the current source, and positions in it.
+    order: Vec<usize>,
+    pos: Vec<usize>,
+    /// Bellman–Ford labels and predecessors, by BFS position.
+    dist: Vec<(f64, usize)>,
+    pred: Vec<usize>,
+    /// The concatenated paths of the table being built.
+    verts: Vec<usize>,
+}
+
+impl Scratch {
+    pub(crate) fn new(n: usize) -> Self {
+        Scratch {
+            seen: vec![0; n],
+            stamp: 0,
+            stack: Vec::new(),
+            reach: Vec::new(),
+            home: vec![(usize::MAX, 0); n],
+            base: BaseScratch::default(),
+            spare: Vec::new(),
+            prune_stack: Vec::new(),
+        }
+    }
+
+    /// Starts a new visit: every vertex reads as unseen afterwards.
+    fn next_stamp(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+    }
+}
 
 /// The contracted tree 𝒯_β of a non-base Φ node (`k ≥ 3` only): the
 /// quotient of the call tree by its components, preprocessed for LCA/LA.
@@ -138,8 +215,7 @@ struct Builder {
     parents: Vec<Option<usize>>,
     comp_of_node: Vec<usize>,
     nodes: Vec<PhiNode>,
-    home: HomeMap,
-    base_adj: BaseAdj,
+    out: BuildOutput,
 }
 
 impl Builder {
@@ -151,19 +227,18 @@ impl Builder {
     }
 }
 
-/// Builds a navigator (and appends spanner edges) for `tree` with
-/// hop-diameter `k ≥ 2`. Returns `None` when the tree has no required
-/// vertices; otherwise also returns the home map over the required
-/// vertices and the base-case adjacency (both build-time artifacts for
-/// the caller to densify or fold into its own tables).
+/// Builds a navigator (and appends spanner edges) for the pruned tree
+/// `t` (see [`LocalTree::prune`]) with hop-diameter `k ≥ 2`, together
+/// with its [`BuildOutput`].
 pub(crate) fn build_navigator(
-    tree: LocalTree,
+    t: &LocalTree,
     k: usize,
     edges: &mut Vec<(usize, usize, f64)>,
-) -> Option<(Navigator, HomeMap, BaseAdj)> {
+    scratch: &mut Scratch,
+) -> (Navigator, BuildOutput) {
     debug_assert!(k >= 2);
     let mut b = Builder::default();
-    let root = build_call(&mut b, tree, k, edges)?;
+    let root = build_call(&mut b, t, k, edges, scratch);
     let n = b.nodes.len();
     let weights = vec![1.0; n];
     let phi = RootedTree::from_parents(root, &b.parents, &weights)
@@ -171,7 +246,7 @@ pub(crate) fn build_navigator(
         .expect("recursion tree parents are consistent");
     let phi_lca = Lca::new(&phi);
     let phi_la = LevelAncestor::new(&phi);
-    Some((
+    (
         Navigator {
             k,
             nodes: b.nodes,
@@ -180,27 +255,27 @@ pub(crate) fn build_navigator(
             phi_la,
             comp_of_node: b.comp_of_node,
         },
-        b.home,
-        b.base_adj,
-    ))
+        b.out,
+    )
 }
 
-/// One recursive call of `PreprocessTree`. Returns the Φ node id for the
-/// call, or `None` when the subtree has no required vertices.
+/// One recursive call of `PreprocessTree` on the pruned tree `t`;
+/// returns its Φ node id.
 fn build_call(
     b: &mut Builder,
-    tree: LocalTree,
+    t: &LocalTree,
     k: usize,
     edges: &mut Vec<(usize, usize, f64)>,
-) -> Option<usize> {
-    let t = tree.prune()?;
+    scratch: &mut Scratch,
+) -> usize {
     let n_req = t.required_count();
     if n_req <= k + 1 {
-        return Some(handle_base_case(b, &t, k, edges));
+        return handle_base_case(b, t, k, edges, &mut scratch.base);
     }
+    let shape = t.shape();
     // hopspan:allow(panic-in-lib) -- α'_{k-2}(n_req) ≤ n_req, which is already a usize
     let ell = usize::try_from(alpha_prime(k - 2, n_req as u128)).expect("ℓ fits usize");
-    let cuts = t.decompose(ell);
+    let cuts = t.decompose(&shape, ell);
     debug_assert!(!cuts.is_empty(), "n_req > ℓ forces at least one cut");
     let beta = b.new_node(PhiNode {
         inner: cuts.iter().map(|&c| t.orig[c]).collect(),
@@ -212,259 +287,284 @@ fn build_call(
         if t.required[c] {
             // hopspan:allow(panic-in-lib) -- |CV| ≤ n/2 < 2³² for any feasible input
             let slot = u32::try_from(i).expect("slot fits u32");
-            b.home.insert(t.orig[c], (beta, slot));
+            b.out.homes.push((t.orig[c], (beta, slot)));
         }
     }
     let mut is_cut = vec![false; t.len()];
     for &c in &cuts {
         is_cut[c] = true;
     }
-    let children = t.children();
 
     // E'' (line 12): edges from every cut vertex to the required vertices
     // of its adjacent components, weighted by the exact tree distance. A
     // DFS from each cut vertex bounded by the other cut vertices visits
     // exactly the adjacent components.
     for &c in &cuts {
-        for (v, d) in collect_adjacent(&t, &children, c, &is_cut) {
+        collect_adjacent(t, &shape, c, &is_cut, scratch);
+        for &(v, d) in &scratch.reach {
             if t.required[v] && !is_cut[v] {
                 edges.push((t.orig[c], t.orig[v], d));
             }
         }
     }
 
-    // E' (lines 6-10): interconnect the cut vertices.
+    // E' (lines 6-10): interconnect the cut vertices, over the copy T'
+    // of T whose required vertices are exactly the cut vertices.
     let mut sub = None;
-    let mut sub_home = HomeMap::new();
+    let mut cut_sub_home = Vec::new();
     if k >= 3 {
-        let mut t_cv = t.clone();
-        t_cv.required.copy_from_slice(&is_cut);
+        // hopspan:allow(panic-in-lib) -- decompose returned at least one cut above
+        let t_cv = t.prune(&shape, &is_cut).expect("cut set is non-empty");
         if k == 3 {
             // Clique over CV with exact distances, computed on the pruned
             // copy (O(|CV|·|T'|) = O(n) total).
-            // hopspan:allow(panic-in-lib) -- decompose returned at least one cut above
-            let t_cv = t_cv.prune().expect("cut set is non-empty");
-            let ch = t_cv.children();
+            let cv_shape = t_cv.shape();
             let cut_locals: Vec<usize> = (0..t_cv.len()).filter(|&v| t_cv.required[v]).collect();
             let unblocked = vec![false; t_cv.len()];
+            let mut dist = vec![0.0f64; t_cv.len()];
             for &cl in &cut_locals {
-                let d = collect_adjacent(&t_cv, &ch, cl, &unblocked);
-                let dist: BTreeMap<usize, f64> = d.into_iter().collect();
+                collect_adjacent(&t_cv, &cv_shape, cl, &unblocked, scratch);
+                for &(v, d) in &scratch.reach {
+                    dist[v] = d;
+                }
                 for &cl2 in &cut_locals {
                     if t_cv.orig[cl2] > t_cv.orig[cl] {
-                        edges.push((t_cv.orig[cl], t_cv.orig[cl2], dist[&cl2]));
+                        edges.push((t_cv.orig[cl], t_cv.orig[cl2], dist[cl2]));
                     }
                 }
             }
         } else {
-            // Recursive (k-2)-construction over the pruned copy. The
-            // sub-hierarchy's base adjacency is a build-time artifact
-            // with no query-path consumer, so it is dropped here.
-            if let Some((nav, homes, _)) = build_navigator(t_cv, k - 2, edges) {
-                sub = Some(Box::new(nav));
-                sub_home = homes;
+            // Recursive (k-2)-construction over T'. The sub-hierarchy's
+            // base adjacency is a build-time artifact with no
+            // query-path consumer, so it is dropped here; every cut is
+            // required in T', hence homed in the sub-hierarchy.
+            let (nav, out) = build_navigator(&t_cv, k - 2, edges, scratch);
+            debug_assert_eq!(out.homes.len(), cuts.len());
+            for &(v, home) in &out.homes {
+                scratch.home[v] = home;
             }
+            cut_sub_home = cuts.iter().map(|&c| scratch.home[t.orig[c]]).collect();
+            sub = Some(Box::new(nav));
         }
     }
 
-    // Components of T ∖ CV, recursed with the same k (line 14).
-    let (comp_id, comps) = t.components(&cuts);
-    let comp_count = comps.len();
-    for (i, comp) in comps.into_iter().enumerate() {
-        if let Some(child) = build_call(b, comp, k, edges) {
-            b.parents[child] = Some(beta);
-            b.comp_of_node[child] = i;
+    // Components of T ∖ CV, pruned and recursed with the same k (line
+    // 14); one without required vertices gets no Φ node.
+    let comps = t.components(&shape, &is_cut);
+    let comp_count = comps.roots.len();
+    for i in 0..comp_count {
+        if comps.required(i) == 0 {
+            continue;
         }
+        let mut comp = scratch.spare.pop().unwrap_or_default();
+        comps.prune_into(i, &mut comp, &mut scratch.prune_stack);
+        let child = build_call(b, &comp, k, edges, scratch);
+        scratch.spare.push(comp);
+        b.parents[child] = Some(beta);
+        b.comp_of_node[child] = i;
     }
+    let mut ct_id = comps.comp_id;
 
     // Contracted tree 𝒯_β (line 16, k ≥ 3): the quotient of T by its
     // components. Unlike the paper's prose we also keep cut–cut edges for
     // adjacent cut vertices, otherwise the quotient may be disconnected
     // (DESIGN.md §2).
     if k >= 3 {
+        // Contracted id per vertex: its component, or rep_count + its
+        // position among the cuts.
         let p = comp_count;
-        let mut cut_pos = BTreeMap::new();
         for (i, &c) in cuts.iter().enumerate() {
-            cut_pos.insert(c, p + i);
+            ct_id[c] = p + i;
         }
-        let cv_vertex = |v: usize| -> usize {
-            if is_cut[v] {
-                cut_pos[&v]
-            } else {
-                comp_id[v]
-            }
-        };
         let mut ct_edges = Vec::new();
         for v in 0..t.len() {
             if let Some(q) = t.parent[v] {
-                let (a, bb) = (cv_vertex(v), cv_vertex(q));
+                let (a, bb) = (ct_id[v], ct_id[q]);
                 if a != bb {
                     ct_edges.push((a.min(bb), a.max(bb), 1.0));
                 }
             }
         }
-        ct_edges.sort_by_key(|x| (x.0, x.1));
+        // Equal keys carry equal weights, so an unstable sort is exact.
+        ct_edges.sort_unstable_by_key(|x| (x.0, x.1));
         ct_edges.dedup_by(|x, y| (x.0, x.1) == (y.0, y.1));
-        let ct_tree = RootedTree::from_edges(p + cuts.len(), cv_vertex(t.root), &ct_edges)
+        let ct_tree = RootedTree::from_edges(p + cuts.len(), ct_id[t.root], &ct_edges)
             // hopspan:allow(panic-in-lib) -- the quotient of a tree by connected components is a tree
             .expect("quotient of a tree is a tree");
         let lca = Lca::new(&ct_tree);
         let la = LevelAncestor::new(&ct_tree);
-        let cut_orig: Vec<usize> = cuts.iter().map(|&c| t.orig[c]).collect();
-        let cut_sub_home: Vec<HomeRef> = if sub.is_some() {
-            cut_orig
-                .iter()
-                // hopspan:allow(panic-in-lib) -- every cut is required in the sub-construction, hence homed
-                .map(|o| *sub_home.get(o).expect("cut vertex is homed in sub"))
-                .collect()
-        } else {
-            Vec::new()
-        };
         b.nodes[beta].contracted = Some(Box::new(Contracted {
             tree: ct_tree,
             lca,
             la,
             rep_count: p,
-            cut_orig,
+            cut_orig: cuts.iter().map(|&c| t.orig[c]).collect(),
             cut_sub_home,
         }));
     }
     b.nodes[beta].sub = sub;
-    Some(beta)
+    beta
 }
 
 /// `HandleBaseCase` (lines 18-23): spanner edges are the (pruned) tree
 /// edges, plus the root shortcut when `n = k + 1` and the root has exactly
-/// two children. Records the base adjacency and precomputes the all-pairs
-/// path table consumed by queries.
+/// two children. Records the base edges and members and precomputes the
+/// all-pairs path table consumed by queries.
 fn handle_base_case(
     b: &mut Builder,
     t: &LocalTree,
     k: usize,
     edges: &mut Vec<(usize, usize, f64)>,
+    s: &mut BaseScratch,
 ) -> usize {
-    let children = t.children();
-    let mut local_edges: Vec<(usize, usize, f64)> = Vec::new();
+    s.edges.clear();
     for v in 0..t.len() {
         if let Some(p) = t.parent[v] {
-            local_edges.push((t.orig[v], t.orig[p], t.weight[v]));
+            s.edges.push((v, p, t.weight[v]));
         }
     }
-    let n_req = t.required_count();
-    if n_req == k + 1 && children[t.root].len() == 2 {
-        let (u, v) = (children[t.root][0], children[t.root][1]);
-        local_edges.push((t.orig[u], t.orig[v], t.weight[u] + t.weight[v]));
+    if t.required_count() == k + 1 {
+        let mut rc = t.root_children();
+        if let (Some(u), Some(v), None) = (rc.next(), rc.next(), rc.next()) {
+            s.edges.push((u, v, t.weight[u] + t.weight[v]));
+        }
     }
-    // Base cases of one navigator are vertex-disjoint, so this local
-    // adjacency sees exactly the entries (in exactly the push order) the
-    // former navigator-global map held for these vertices.
-    let mut adj: BaseAdj = BaseAdj::new();
-    for &(u, v, w) in &local_edges {
-        edges.push((u, v, w));
-        adj.entry(u).or_default().push((v, w));
-        adj.entry(v).or_default().push((u, w));
+    for &(u, v, w) in &s.edges {
+        let e = (t.orig[u], t.orig[v], w);
+        edges.push(e);
+        b.out.base_edges.push(e);
     }
-    // Ensure every base vertex (even isolated singletons) has an entry.
-    for v in 0..t.len() {
-        adj.entry(t.orig[v]).or_default();
-    }
-    let inner: Vec<usize> = (0..t.len())
-        .filter(|&v| t.required[v])
-        .map(|v| t.orig[v])
-        .collect();
-    let base = base_table(&inner, &adj);
-    for (u, nbrs) in adj {
-        b.base_adj.entry(u).or_default().extend(nbrs);
-    }
+    b.out.base_members.extend_from_slice(&t.orig);
+    s.inner.clear();
+    s.inner.extend((0..t.len()).filter(|&v| t.required[v]));
+    let base = base_table(s, &t.orig);
     let node = b.new_node(PhiNode {
-        inner: inner.clone(),
+        inner: s.inner.iter().map(|&v| t.orig[v]).collect(),
         base: Some(base),
         contracted: None,
         sub: None,
     });
-    for (i, u) in inner.into_iter().enumerate() {
+    for (i, &u) in b.nodes[node].inner.iter().enumerate() {
         // hopspan:allow(panic-in-lib) -- base cases have ≤ k + 1 members, far below 2³²
         let slot = u32::try_from(i).expect("slot fits u32");
-        b.home.insert(u, (node, slot));
+        b.out.homes.push((u, (node, slot)));
     }
     node
 }
 
 /// Precomputes the min-weight (then min-hop) path for every ordered pair
-/// of base members, via the same BFS + lexicographic Bellman–Ford the
-/// query path used to run per pair (`O(k)`-vertex graphs, so the whole
-/// table costs O(k⁴) per base case).
-fn base_table(inner: &[usize], adj: &BaseAdj) -> BaseTable {
+/// of base members `s.inner` over the base graph `s.edges`, as original
+/// ids. One BFS and one lexicographic Bellman–Ford per source serve every
+/// destination: neither depends on the destination, so each path is the
+/// one a per-pair search from the same source finds.
+fn base_table(s: &mut BaseScratch, orig: &[usize]) -> BaseTable {
+    let BaseScratch {
+        edges,
+        off,
+        nbr,
+        inner,
+        order,
+        pos,
+        dist,
+        pred,
+        verts,
+    } = s;
+    let nv = orig.len();
+    // CSR adjacency; see `LocalTree::shape` for the two-up counting.
+    off.clear();
+    off.resize(nv + 2, 0);
+    for &(u, v, _) in edges.iter() {
+        off[u + 2] += 1;
+        off[v + 2] += 1;
+    }
+    for i in 2..nv + 2 {
+        off[i] += off[i - 1];
+    }
+    nbr.clear();
+    nbr.resize(off[nv + 1], (0, 0.0));
+    for &(u, v, w) in edges.iter() {
+        nbr[off[u + 1]] = (v, w);
+        off[u + 1] += 1;
+        nbr[off[v + 1]] = (u, w);
+        off[v + 1] += 1;
+    }
+    let neighbors = |v: usize| &nbr[off[v]..off[v + 1]];
     let m = inner.len();
     let mut offsets = Vec::with_capacity(m * m + 1);
-    let mut verts = Vec::new();
     offsets.push(0u32);
-    for &u in inner {
-        for &v in inner {
-            base_path(u, v, adj, &mut verts);
+    verts.clear();
+    pos.clear();
+    pos.resize(nv, usize::MAX);
+    order.clear();
+    for &u in inner.iter() {
+        // BFS order from the source over the base graph.
+        for &x in order.iter() {
+            pos[x] = usize::MAX;
+        }
+        order.clear();
+        pos[u] = 0;
+        order.push(u);
+        let mut head = 0;
+        while head < order.len() {
+            let w = order[head];
+            head += 1;
+            for &(x, _) in neighbors(w) {
+                if pos[x] == usize::MAX {
+                    pos[x] = order.len();
+                    order.push(x);
+                }
+            }
+        }
+        // Lexicographic (weight, hops) Bellman–Ford over BFS positions;
+        // graphs here have O(k) vertices, so the O(m²·deg) cost is
+        // constant-bounded.
+        let reached = order.len();
+        dist.clear();
+        dist.resize(reached, (f64::INFINITY, usize::MAX));
+        pred.clear();
+        pred.resize(reached, usize::MAX);
+        dist[0] = (0.0, 0);
+        for _ in 0..reached {
+            let mut changed = false;
+            for a in 0..reached {
+                let (da, ha) = dist[a];
+                if !da.is_finite() {
+                    continue;
+                }
+                for &(x, w) in neighbors(order[a]) {
+                    let bidx = pos[x];
+                    let cand = (da + w, ha + 1);
+                    if lex_better(cand, dist[bidx]) {
+                        dist[bidx] = cand;
+                        pred[bidx] = a;
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        for &v in inner.iter() {
+            let dst = pos[v];
+            debug_assert!(dist[dst].0.is_finite(), "base case is connected");
+            let at = verts.len();
+            verts.push(orig[order[dst]]);
+            let mut cur = dst;
+            while cur != 0 {
+                cur = pred[cur];
+                verts.push(orig[order[cur]]);
+            }
+            verts[at..].reverse();
             // hopspan:allow(panic-in-lib) -- ≤ (k+1)² paths of ≤ 2k+1 vertices each
             offsets.push(u32::try_from(verts.len()).expect("base table fits u32"));
         }
     }
-    BaseTable { m, offsets, verts }
-}
-
-/// Appends the min-weight (then min-hop) path between two vertices of
-/// the same base case to `out`, over the O(k)-vertex base subgraph.
-fn base_path(u: usize, v: usize, base_adj: &BaseAdj, out: &mut Vec<usize>) {
-    // Collect the base component by BFS over the base adjacency.
-    let mut verts = vec![u];
-    let mut index: BTreeMap<usize, usize> = BTreeMap::new();
-    index.insert(u, 0);
-    let mut head = 0;
-    while head < verts.len() {
-        let w = verts[head];
-        head += 1;
-        for &(x, _) in &base_adj[&w] {
-            if let std::collections::btree_map::Entry::Vacant(e) = index.entry(x) {
-                e.insert(verts.len());
-                verts.push(x);
-            }
-        }
+    BaseTable {
+        m,
+        offsets,
+        verts: verts.to_vec(),
     }
-    let m = verts.len();
-    let src = 0usize;
-    let dst = index[&v];
-    // Lexicographic (weight, hops) Bellman–Ford; graphs here have O(k)
-    // vertices so the O(m²·deg) cost is constant-bounded.
-    let mut dist = vec![(f64::INFINITY, usize::MAX); m];
-    let mut pred = vec![usize::MAX; m];
-    dist[src] = (0.0, 0);
-    for _ in 0..m {
-        let mut changed = false;
-        for a in 0..m {
-            let (da, ha) = dist[a];
-            if !da.is_finite() {
-                continue;
-            }
-            for &(x, w) in &base_adj[&verts[a]] {
-                let bidx = index[&x];
-                let cand = (da + w, ha + 1);
-                if lex_better(cand, dist[bidx]) {
-                    dist[bidx] = cand;
-                    pred[bidx] = a;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    debug_assert!(dist[dst].0.is_finite(), "base case is connected");
-    let at = out.len();
-    out.push(verts[dst]);
-    let mut cur = dst;
-    while cur != src {
-        cur = pred[cur];
-        out.push(verts[cur]);
-    }
-    out[at..].reverse();
 }
 
 /// Epsilon-aware lexicographic comparison of (weight, hops).
@@ -479,36 +579,45 @@ fn lex_better(a: (f64, usize), b: (f64, usize)) -> bool {
     }
 }
 
-/// DFS from `src` that does not expand past `blocked` vertices; returns
-/// `(vertex, distance)` for every vertex reached (blocked vertices are
-/// reached but not expanded). Cost is proportional to the region visited.
+/// DFS from `src` that does not expand past `blocked` vertices; leaves
+/// `(vertex, distance)` for every vertex reached in `scratch.reach`
+/// (blocked vertices are reached but not expanded). Cost is
+/// proportional to the region visited.
 fn collect_adjacent(
     t: &LocalTree,
-    children: &[Vec<usize>],
+    shape: &Shape,
     src: usize,
     blocked: &[bool],
-) -> Vec<(usize, f64)> {
-    let mut out = Vec::new();
-    let mut seen = BTreeMap::new();
-    seen.insert(src, ());
-    let mut stack = vec![(src, 0.0f64)];
+    scratch: &mut Scratch,
+) {
+    scratch.next_stamp();
+    let Scratch {
+        seen,
+        stamp,
+        stack,
+        reach,
+        ..
+    } = scratch;
+    let stamp = *stamp;
+    reach.clear();
+    seen[src] = stamp;
+    stack.clear();
+    stack.push((src, 0.0f64));
     while let Some((v, dv)) = stack.pop() {
-        let mut visit =
-            |w: usize, edge: f64, stack: &mut Vec<(usize, f64)>, out: &mut Vec<(usize, f64)>| {
-                if let std::collections::btree_map::Entry::Vacant(e) = seen.entry(w) {
-                    e.insert(());
-                    out.push((w, dv + edge));
-                    if !blocked[w] {
-                        stack.push((w, dv + edge));
-                    }
+        let mut visit = |w: usize, edge: f64| {
+            if seen[w] != stamp {
+                seen[w] = stamp;
+                reach.push((w, dv + edge));
+                if !blocked[w] {
+                    stack.push((w, dv + edge));
                 }
-            };
+            }
+        };
         if let Some(p) = t.parent[v] {
-            visit(p, t.weight[v], &mut stack, &mut out);
+            visit(p, t.weight[v]);
         }
-        for &c in &children[v] {
-            visit(c, t.weight[c], &mut stack, &mut out);
+        for &c in shape.children(v) {
+            visit(c, t.weight[c]);
         }
     }
-    out
 }

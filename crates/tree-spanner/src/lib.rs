@@ -45,7 +45,6 @@ pub use parts::{
     BaseTableParts, ContractedParts, NavigatorParts, PhiNodeParts, SpannerParts, TreeParts,
 };
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use hopspan_treealg::RootedTree;
@@ -123,6 +122,35 @@ pub struct TreeHopSpanner {
     base_member: Vec<bool>,
 }
 
+/// Normalizes every edge to `u ≤ v`, sorts by `(u, v)` and drops repeats,
+/// which several recursion levels can emit (with the same weight either
+/// way): each edge keeps its first emitted copy, so the result does not
+/// depend on how equal weights were rounded. A counting sort by `u`
+/// keeps emission order within each bucket, and a stable sort of each
+/// (short) bucket by `v` then puts every edge's first copy first.
+fn dedup_edges(edges: Vec<(usize, usize, f64)>, n: usize) -> Vec<(usize, usize, f64)> {
+    // Counts land two slots up; see `LocalTree::shape`.
+    let mut off = vec![0usize; n + 2];
+    for &(u, v, _) in &edges {
+        off[u.min(v) + 2] += 1;
+    }
+    for i in 2..n + 2 {
+        off[i] += off[i - 1];
+    }
+    let mut sorted = vec![(0usize, 0usize, 0.0f64); edges.len()];
+    for (u, v, w) in edges {
+        let a = u.min(v);
+        sorted[off[a + 1]] = (a, u.max(v), w);
+        off[a + 1] += 1;
+    }
+    for a in 0..n {
+        sorted[off[a]..off[a + 1]].sort_by_key(|e| e.1);
+    }
+    sorted.dedup_by_key(|e| (e.0, e.1));
+    sorted.shrink_to_fit();
+    sorted
+}
+
 impl TreeHopSpanner {
     /// Builds the spanner and navigation structure with **all** vertices
     /// required.
@@ -154,44 +182,52 @@ impl TreeHopSpanner {
         if required.len() != tree.len() {
             return Err(TreeSpannerError::RequiredLenMismatch);
         }
+        let n = tree.len();
         let local = LocalTree {
-            orig: (0..tree.len()).collect(),
-            parent: (0..tree.len()).map(|v| tree.parent(v)).collect(),
-            weight: (0..tree.len()).map(|v| tree.parent_weight(v)).collect(),
+            orig: (0..n).collect(),
+            parent: (0..n).map(|v| tree.parent(v)).collect(),
+            weight: (0..n).map(|v| tree.parent_weight(v)).collect(),
             required: required.to_vec(),
             root: tree.root(),
         };
-        let mut edges = Vec::new();
-        let (nav, home, base_adj) = construct::build_navigator(local, k, &mut edges)
+        let pruned = local
+            .prune(&local.shape(), required)
             .ok_or(TreeSpannerError::NoRequiredVertices)?;
-        // Deduplicate edges that can be produced by several recursion
-        // levels (identical weight either way); BTreeMap iteration
-        // leaves them sorted by (u, v), independent of insertion order.
-        let mut seen: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-        for (u, v, w) in edges {
-            seen.entry((u.min(v), u.max(v))).or_insert(w);
-        }
-        let edges: Vec<(usize, usize, f64)> =
-            seen.into_iter().map(|((u, v), w)| (u, v, w)).collect();
-        // Densify the build-time maps into flat per-vertex tables.
-        let n = tree.len();
+        let mut edges = Vec::new();
+        let (nav, out) =
+            construct::build_navigator(&pruned, k, &mut edges, &mut construct::Scratch::new(n));
+        let edges = dedup_edges(edges, n);
+        // Densify the build output into flat per-vertex tables.
         let mut home_node = vec![usize::MAX; n];
         let mut home_slot = vec![0u32; n];
-        for (v, (h, s)) in home {
+        for (v, (h, s)) in out.homes {
             home_node[v] = h;
             home_slot[v] = s;
         }
-        let mut base_off = Vec::with_capacity(n + 1);
-        let mut base_nbr = Vec::new();
         let mut base_member = vec![false; n];
-        base_off.push(0u32);
-        for v in 0..n {
-            if let Some(nbrs) = base_adj.get(&v) {
-                base_member[v] = true;
-                base_nbr.extend_from_slice(nbrs);
-            }
+        for v in out.base_members {
+            base_member[v] = true;
+        }
+        // Every offset is at most the total, so the u32 counts below
+        // cannot overflow once it fits.
+        let total = u32::try_from(2 * out.base_edges.len())
             // hopspan:allow(panic-in-lib) -- ≤ 2·edge_count entries, far below 2³² for feasible n
-            base_off.push(u32::try_from(base_nbr.len()).expect("adjacency fits u32"));
+            .expect("adjacency fits u32");
+        let mut base_off = vec![0u32; n + 1];
+        for &(u, v, _) in &out.base_edges {
+            base_off[u + 1] += 1;
+            base_off[v + 1] += 1;
+        }
+        for v in 0..n {
+            base_off[v + 1] += base_off[v];
+        }
+        let mut cursor = base_off.clone();
+        let mut base_nbr = vec![(0usize, 0.0f64); total as usize];
+        for (u, v, w) in out.base_edges {
+            base_nbr[cursor[u] as usize] = (v, w);
+            cursor[u] += 1;
+            base_nbr[cursor[v] as usize] = (u, w);
+            cursor[v] += 1;
         }
         Ok(TreeHopSpanner {
             k,
@@ -240,6 +276,13 @@ impl TreeHopSpanner {
     #[inline]
     pub fn edges(&self) -> &[(usize, usize, f64)] {
         &self.edges
+    }
+
+    /// Moves the edge list out, leaving [`TreeHopSpanner::edges`] empty.
+    /// Queries never read the list, so a caller that merges the edges
+    /// into a larger graph need not keep a second copy of them.
+    pub fn take_edges(&mut self) -> Vec<(usize, usize, f64)> {
+        std::mem::take(&mut self.edges)
     }
 
     /// Number of spanner edges (the paper bounds this by `O(n·α_k(n))`).
@@ -464,6 +507,7 @@ impl TreeHopSpanner {
 mod tests {
     use super::*;
     use hopspan_treealg::Lca;
+    use std::collections::BTreeMap;
 
     /// Exhaustive verification: for every required pair, the returned path
     /// (a) starts/ends at the endpoints, (b) uses only spanner edges,

@@ -2,6 +2,9 @@
 //! all-pairs concatenated `find_path` output on three fixed-seed
 //! workloads, mirroring `tests/determinism.rs`, plus a fourth over the
 //! fault-tolerant spanner's policy-aware `find_path_avoiding` outcomes.
+//! Workloads 1 and 4 also pin the edge lists the queries run over
+//! (endpoints and weight bits), so a change to how construction merges
+//! or deduplicates edges shows even where every answer is unchanged.
 //!
 //! The constants below were computed against the pre-flattening
 //! implementation (BTreeMap-backed `Navigator`, per-query base-case
@@ -35,6 +38,10 @@ const GOLDEN_RAMSEY: u64 = 0xc417_efe6_1336_be49;
 /// Hash of workload 4 (fault-tolerant spanner, both policies), pinned
 /// before the cover's duplicate trees were dropped from the FT scan.
 const GOLDEN_FT: u64 = 0x140e_9a84_2226_170f;
+/// Hash of workload 1's `TreeHopSpanner::edges()` for every k.
+const GOLDEN_TREE_EDGES: u64 = 0xda9a_65d9_e892_3648;
+/// Hash of workload 4's `FaultTolerantSpanner::edges()`.
+const GOLDEN_FT_EDGES: u64 = 0x7745_7e57_e5f8_fb7a;
 
 fn push_path(out: &mut String, u: usize, v: usize, path: &[usize]) {
     out.push_str(&format!("{u} {v}:"));
@@ -42,6 +49,12 @@ fn push_path(out: &mut String, u: usize, v: usize, path: &[usize]) {
         out.push_str(&format!(" {p}"));
     }
     out.push('\n');
+}
+
+fn push_edges(out: &mut String, edges: &[(usize, usize, f64)]) {
+    for &(u, v, w) in edges {
+        out.push_str(&format!("{u} {v} {:016x}\n", w.to_bits()));
+    }
 }
 
 /// Deterministic random tree (same generator family as the tree-spanner
@@ -66,12 +79,15 @@ fn random_tree(n: usize, seed: u64) -> RootedTree {
 
 /// Workload 1: all-ordered-pairs paths on one random tree across the
 /// k = 2 (single cut), k = 3 (clique), and k ≥ 4 (sub-hierarchy) query
-/// arms, base cases included.
-fn hash_tree_workload() -> u64 {
+/// arms, base cases included. Returns the path hash and the edge hash.
+fn hash_tree_workload() -> (u64, u64) {
     let tree = random_tree(96, 0x9E37_79B9_7F4A_7C15);
     let mut out = String::new();
+    let mut edges = String::new();
     for k in [2usize, 3, 4, 6] {
         let sp = TreeHopSpanner::new(&tree, k).expect("tree spanner builds");
+        edges.push_str(&format!("k={k}\n"));
+        push_edges(&mut edges, sp.edges());
         out.push_str(&format!("k={k}\n"));
         for u in 0..tree.len() {
             for v in 0..tree.len() {
@@ -80,7 +96,7 @@ fn hash_tree_workload() -> u64 {
             }
         }
     }
-    fnv1a(out.as_bytes())
+    (fnv1a(out.as_bytes()), fnv1a(edges.as_bytes()))
 }
 
 /// Workload 2: doubling cover over seeded uniform points (min-distance
@@ -122,12 +138,14 @@ fn hash_ramsey_workload() -> u64 {
 /// against an in-budget and an over-budget fault set. Clustered points
 /// give a robust cover with many repeated trees, so the pin covers the
 /// first-strict-minimum tree scan, the degraded arms and the stretches
-/// (as `to_bits`).
-fn hash_ft_workload() -> u64 {
+/// (as `to_bits`). Returns the outcome hash and the edge hash.
+fn hash_ft_workload() -> (u64, u64) {
     let n = 48;
     let mut rng = ChaCha8Rng::seed_from_u64(0xF7_0004);
     let m = gen::clustered_points(n, 2, 4, 0.02, &mut rng);
     let sp = FaultTolerantSpanner::new(&m, 0.5, 1, 3).expect("FT spanner builds");
+    let mut edges = String::new();
+    push_edges(&mut edges, sp.edges());
     let mut out = String::new();
     for faults in [&[5usize][..], &[5, 30]] {
         let faulty: HashSet<usize> = faults.iter().copied().collect();
@@ -157,20 +175,22 @@ fn hash_ft_workload() -> u64 {
             }
         }
     }
-    fnv1a(out.as_bytes())
+    (fnv1a(out.as_bytes()), fnv1a(edges.as_bytes()))
 }
 
 #[test]
 fn all_pairs_paths_match_pre_refactor_hashes() {
-    let tree = hash_tree_workload();
+    let (tree, tree_edges) = hash_tree_workload();
     let doubling = hash_doubling_workload();
     let ramsey = hash_ramsey_workload();
-    let ft = hash_ft_workload();
+    let (ft, ft_edges) = hash_ft_workload();
     if std::env::var("HOPSPAN_GOLDEN_PRINT").is_ok() {
         println!("const GOLDEN_TREE: u64 = 0x{tree:016x};");
         println!("const GOLDEN_DOUBLING: u64 = 0x{doubling:016x};");
         println!("const GOLDEN_RAMSEY: u64 = 0x{ramsey:016x};");
         println!("const GOLDEN_FT: u64 = 0x{ft:016x};");
+        println!("const GOLDEN_TREE_EDGES: u64 = 0x{tree_edges:016x};");
+        println!("const GOLDEN_FT_EDGES: u64 = 0x{ft_edges:016x};");
         return;
     }
     assert_eq!(
@@ -192,5 +212,15 @@ fn all_pairs_paths_match_pre_refactor_hashes() {
         ft, GOLDEN_FT,
         "fault-tolerant workload outcomes drifted from the golden hash \
          (got 0x{ft:016x})"
+    );
+    assert_eq!(
+        tree_edges, GOLDEN_TREE_EDGES,
+        "tree workload edge lists drifted from the golden hash \
+         (got 0x{tree_edges:016x})"
+    );
+    assert_eq!(
+        ft_edges, GOLDEN_FT_EDGES,
+        "fault-tolerant workload edge list drifted from the golden hash \
+         (got 0x{ft_edges:016x})"
     );
 }
