@@ -8,8 +8,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use hopspan_metric::Metric;
-
 /// Dijkstra-based path queries over a fixed spanner edge set.
 #[derive(Debug)]
 pub struct DijkstraNavigator {
@@ -64,11 +62,6 @@ impl DijkstraNavigator {
         path.reverse();
         Some(path)
     }
-
-    /// Weight of a path under `metric`.
-    pub fn path_weight<M: Metric>(metric: &M, path: &[usize]) -> f64 {
-        path.windows(2).map(|w| metric.dist(w[0], w[1])).sum()
-    }
 }
 
 #[derive(PartialEq)]
@@ -95,7 +88,7 @@ impl PartialOrd for HeapEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hopspan_metric::EuclideanSpace;
+    use hopspan_metric::{path_weight, EuclideanSpace};
 
     #[test]
     fn finds_shortest_paths() {
@@ -104,7 +97,7 @@ mod tests {
         let nav = DijkstraNavigator::new(6, &edges);
         let p = nav.find_path(0, 5).unwrap();
         assert_eq!(p, vec![0, 1, 2, 3, 4, 5]);
-        assert!((DijkstraNavigator::path_weight(&m, &p) - 5.0).abs() < 1e-9);
+        assert!((path_weight(&m, &p) - 5.0).abs() < 1e-9);
         let lonely = DijkstraNavigator::new(3, &[(0, 1, 1.0)]);
         assert!(lonely.find_path(0, 2).is_none());
     }

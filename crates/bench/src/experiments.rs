@@ -18,7 +18,9 @@ use hopspan_metric::{
     gen, minimum_spanning_tree, mst_weight, spanner_lightness, spanner_max_stretch, GraphMetric,
     Metric,
 };
-use hopspan_routing::{FtMetricRoutingScheme, MetricRoutingScheme, RouteTrace, TreeRoutingScheme};
+use hopspan_routing::{
+    FtMetricRoutingScheme, MetricRoutingScheme, RouteTrace, SchemeStats, TreeRoutingScheme,
+};
 use hopspan_serve::{
     quantile_from_counts, Backend as ServeBackend, BackendParams, DegradeCode, MetricsSnapshot, Op,
     Pending, QueryOutcome, ServeConfig, ServeError, ShardHealth, ShardedNavigator, LATENCY_BUCKETS,
@@ -564,13 +566,29 @@ pub fn e09_ft_spanner() -> String {
 }
 
 /// E10: routing — bits, hops, stretch, decisions across metric classes.
+/// Asserts what its prose expects: every route takes ≤ 2 hops, and tree
+/// routes have stretch exactly 1.
 pub fn e10_routing() -> String {
+    // One table row; every scheme here must deliver in ≤ 2 hops.
+    let row = |name: String, n: usize, s: SchemeStats, stretch: f64, hops: usize, steps: String| {
+        assert!(hops <= 2, "E10: {name} routed in {hops} > 2 hops");
+        let log2 = (n as f64).log2();
+        vec![
+            name,
+            s.max_label_bits.to_string(),
+            s.max_table_bits.to_string(),
+            format!("{:.1}", s.max_label_bits as f64 / (log2 * log2)),
+            s.header_bits.to_string(),
+            format!("{stretch:.2}"),
+            hops.to_string(),
+            steps,
+        ]
+    };
     let mut rows = Vec::new();
     // Tree metrics (Theorem 5.1).
     for &n in &[256usize, 1024, 4096] {
         let tree = random_tree(n, 10_000 + n as u64);
         let rs = TreeRoutingScheme::new(&tree, &mut rng(10_100)).unwrap();
-        let stats = rs.stats();
         let mut r = rng(10_200);
         let mut max_hops = 0;
         let mut max_steps = 0;
@@ -590,17 +608,15 @@ pub fn e10_routing() -> String {
                 worst = worst.max(w / d);
             }
         }
-        let log2 = (n as f64).log2();
-        rows.push(vec![
+        assert!(worst <= 1.0 + 1e-9, "E10: tree n={n} stretch {worst} > 1");
+        rows.push(row(
             format!("tree n={n}"),
-            stats.max_label_bits.to_string(),
-            stats.max_table_bits.to_string(),
-            format!("{:.1}", stats.max_label_bits as f64 / (log2 * log2)),
-            stats.header_bits.to_string(),
-            format!("{worst:.2}"),
-            max_hops.to_string(),
+            n,
+            rs.stats(),
+            worst,
+            max_hops,
             max_steps.to_string(),
-        ]);
+        ));
     }
     // Metric classes (Theorem 1.3).
     {
@@ -608,18 +624,8 @@ pub fn e10_routing() -> String {
         let m = gen::uniform_points(n, 2, &mut rng(10_300));
         let rs = MetricRoutingScheme::doubling(&m, 0.25, &mut rng(10_301)).unwrap();
         let (stretch, hops) = rs.measured_stretch_and_hops(&m).unwrap();
-        let s = rs.stats();
-        let log2 = (n as f64).log2();
-        rows.push(vec![
-            format!("doubling n={n} ε=0.25"),
-            s.max_label_bits.to_string(),
-            s.max_table_bits.to_string(),
-            format!("{:.1}", s.max_label_bits as f64 / (log2 * log2)),
-            s.header_bits.to_string(),
-            format!("{stretch:.2}"),
-            hops.to_string(),
-            "-".into(),
-        ]);
+        let name = format!("doubling n={n} ε=0.25");
+        rows.push(row(name, n, rs.stats(), stretch, hops, "-".into()));
     }
     {
         let n = 96;
@@ -627,18 +633,8 @@ pub fn e10_routing() -> String {
         for ell in [2usize, 3] {
             let rs = MetricRoutingScheme::general(&m, ell, &mut rng(10_401 + ell as u64)).unwrap();
             let (stretch, hops) = rs.measured_stretch_and_hops(&m).unwrap();
-            let s = rs.stats();
-            let log2 = (n as f64).log2();
-            rows.push(vec![
-                format!("general n={n} ℓ={ell}"),
-                s.max_label_bits.to_string(),
-                s.max_table_bits.to_string(),
-                format!("{:.1}", s.max_label_bits as f64 / (log2 * log2)),
-                s.header_bits.to_string(),
-                format!("{stretch:.2}"),
-                hops.to_string(),
-                "-".into(),
-            ]);
+            let name = format!("general n={n} ℓ={ell}");
+            rows.push(row(name, n, rs.stats(), stretch, hops, "-".into()));
         }
     }
     {
@@ -646,18 +642,8 @@ pub fn e10_routing() -> String {
         let m = GraphMetric::new(&g).unwrap();
         let rs = MetricRoutingScheme::planar(&g, &m, 0.5, &mut rng(10_500)).unwrap();
         let (stretch, hops) = rs.measured_stretch_and_hops(&m).unwrap();
-        let s = rs.stats();
-        let log2 = 64f64.log2();
-        rows.push(vec![
-            "planar 8×8 grid".into(),
-            s.max_label_bits.to_string(),
-            s.max_table_bits.to_string(),
-            format!("{:.1}", s.max_label_bits as f64 / (log2 * log2)),
-            s.header_bits.to_string(),
-            format!("{stretch:.2}"),
-            hops.to_string(),
-            "-".into(),
-        ]);
+        let name = "planar 8×8 grid".to_string();
+        rows.push(row(name, 64, rs.stats(), stretch, hops, "-".into()));
     }
     let table = md_table(
         &[
@@ -681,11 +667,14 @@ pub fn e10_routing() -> String {
     )
 }
 
-/// E11: FT routing — bits ×f, delivery under faults.
+/// E11: FT routing — bits ×f, delivery under faults. Asserts what its
+/// prose expects: every route takes ≤ 2 hops, and label bits grow
+/// strictly with f.
 pub fn e11_ft_routing() -> String {
     let n = 40;
     let m = gen::uniform_points(n, 2, &mut rng(11_000));
     let mut rows = Vec::new();
+    let mut prev_label = None;
     for &f in &[0usize, 1, 2, 3] {
         let rs = FtMetricRoutingScheme::new(&m, 0.25, f, &mut rng(11_100 + f as u64)).unwrap();
         let mut ids: Vec<usize> = (0..n).collect();
@@ -693,6 +682,13 @@ pub fn e11_ft_routing() -> String {
         let faulty: HashSet<usize> = ids.into_iter().take(f).collect();
         let (stretch, hops) = rs.measured_stretch_and_hops(&m, &faulty).unwrap();
         let s = rs.stats();
+        assert!(hops <= 2, "E11: f={f} routed in {hops} > 2 hops");
+        assert!(
+            prev_label.is_none_or(|p| s.max_label_bits > p),
+            "E11: f={f} label bits {} do not exceed f-1's {prev_label:?}",
+            s.max_label_bits
+        );
+        prev_label = Some(s.max_label_bits);
         rows.push(vec![
             f.to_string(),
             s.max_label_bits.to_string(),

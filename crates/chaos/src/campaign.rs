@@ -24,7 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use hopspan_core::{
     DegradationPolicy, FaultTolerantSpanner, FtPath, HopspanError, MetricNavigator,
 };
-use hopspan_metric::{MatrixMetric, Metric, MetricAudit};
+use hopspan_metric::{path_weight, MatrixMetric, Metric, MetricAudit};
 use hopspan_tree_cover::RobustTreeCover;
 use rand::rngs::Pcg32;
 use rand::Rng;
@@ -500,9 +500,12 @@ fn fault_scenario(
             // bound; anything else is a violation.
             match strict {
                 Ok(path) => {
-                    let w: f64 = path.windows(2).map(|x| metric.dist(x[0], x[1])).sum();
                     let d = metric.dist(u, v);
-                    let stretch = if d > 0.0 { w / d } else { 1.0 };
+                    let stretch = if d > 0.0 {
+                        path_weight(metric, &path) / d
+                    } else {
+                        1.0
+                    };
                     let hops = path.len().saturating_sub(1);
                     if stretch > cfg.stretch_bound || hops > cfg.k {
                         out.outcome = OutcomeKind::Violation;

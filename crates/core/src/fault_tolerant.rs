@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use hopspan_metric::Metric;
+use hopspan_metric::{path_weight, Metric};
 use hopspan_pipeline::BuildStats;
 use hopspan_tree_cover::{DominatingTree, RobustTreeCover};
 use hopspan_tree_spanner::{TreeHopSpanner, TreeSpannerError};
@@ -70,11 +70,106 @@ struct FtTree {
     /// Point → its leaf vertex (`u32::MAX` if the tree does not cover
     /// the point), one entry per metric point.
     leaf_of: Vec<u32>,
-    /// `R(v)` for every tree vertex `v`, flat:
-    /// `cand[cand_off[v]..cand_off[v + 1]]` holds its ≤ f+1 candidate
-    /// points (see [`push_candidates`]).
-    cand_off: Vec<u32>,
-    cand: Vec<u32>,
+    /// `R(v)` for every tree vertex `v`.
+    cand: CandidateSets,
+}
+
+/// `R(v)` for every vertex of one cover tree, flat:
+/// `points[off[v]..off[v + 1]]` holds the ≤ f+1 candidate points of
+/// vertex `v` — its associated point first (the robust-cover anchor,
+/// which is always a descendant leaf), then up to `f` other distinct
+/// descendant-leaf points. With f = 0 every set is the vertex's own
+/// point.
+#[derive(Debug)]
+pub struct CandidateSets {
+    off: Vec<u32>,
+    points: Vec<u32>,
+}
+
+impl CandidateSets {
+    fn new(dom: &DominatingTree, f: usize) -> Self {
+        let m = dom.tree().len();
+        let mut off = Vec::with_capacity(m + 1);
+        let mut points = Vec::new();
+        off.push(0);
+        for v in 0..m {
+            let start = points.len();
+            points.push(narrow(dom.point_of(v)));
+            for &leaf in dom.descendant_leaves(v) {
+                if points.len() - start > f {
+                    break;
+                }
+                let p = narrow(dom.point_of(leaf));
+                if !points[start..].contains(&p) {
+                    points.push(p);
+                }
+            }
+            off.push(narrow(points.len()));
+        }
+        CandidateSets { off, points }
+    }
+
+    /// `R(v)`: the candidate points of tree vertex `v`.
+    #[inline]
+    pub fn of(&self, v: usize) -> &[u32] {
+        &self.points[self.off[v] as usize..self.off[v + 1] as usize]
+    }
+}
+
+/// One cover tree's share of a Theorem 4.2 overlay: the tree's
+/// Theorem 1.1 k-hop spanner over its leaves, the candidate sets
+/// `R(v)`, and the biclique point pairs `R(u) × R(v)` over the spanner's
+/// edges. With f = 0 the pairs are the tree's share of the plain
+/// spanner `H_X` of Theorem 1.2, which is how the routing schemes of
+/// Theorems 1.3 and 5.2 share one builder.
+#[derive(Debug)]
+pub struct TreeOverlay {
+    /// The cover tree with its point mapping.
+    pub dom: DominatingTree,
+    /// Theorem 1.1 k-hop 1-spanner over the tree's leaves, its edge
+    /// list included.
+    pub spanner: TreeHopSpanner,
+    /// `R(v)` for every tree vertex.
+    pub candidates: CandidateSets,
+    /// Biclique instances over the spanner's edges, before dedup.
+    pub instances: usize,
+    /// The distinct biclique pairs as sorted [`pair_key`]s, each keyed
+    /// low-to-high (feed them to an [`EdgeMerger`]).
+    pub pairs: Vec<u64>,
+}
+
+impl TreeOverlay {
+    /// Builds the k-hop spanner over `dom`'s leaves, the candidate sets
+    /// with tolerance `f`, and the biclique pairs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tree-spanner construction failures.
+    pub fn new(dom: DominatingTree, k: usize, f: usize) -> Result<Self, TreeSpannerError> {
+        let NavTree { dom, spanner } = NavTree::new(dom, k)?;
+        let candidates = CandidateSets::new(&dom, f);
+        let mut pairs = Vec::new();
+        for &(a, b, _) in spanner.edges() {
+            for &pa in candidates.of(a) {
+                for &pb in candidates.of(b) {
+                    if pa != pb {
+                        // Keyed low-to-high: the weight is δ(min, max).
+                        pairs.push(pair_key(pa.min(pb) as usize, pa.max(pb) as usize));
+                    }
+                }
+            }
+        }
+        let instances = pairs.len();
+        pairs.sort_unstable();
+        pairs.dedup();
+        Ok(TreeOverlay {
+            dom,
+            spanner,
+            candidates,
+            instances,
+            pairs,
+        })
+    }
 }
 
 /// One tree's share of the build: the kept [`FtTree`] and its biclique
@@ -90,8 +185,7 @@ struct BuiltTree {
 }
 
 impl FtTree {
-    /// Builds the per-tree spanner and candidate sets and derives the
-    /// biclique point pairs `R(u) × R(v)` over the spanner edges; `dom`
+    /// Builds the tree's overlay and keeps what the query reads; `dom`
     /// and the spanner's edge list are dropped here.
     fn build(
         dom: DominatingTree,
@@ -99,51 +193,27 @@ impl FtTree {
         f: usize,
         k: usize,
     ) -> Result<BuiltTree, TreeSpannerError> {
-        let NavTree { dom, mut spanner } = NavTree::new(dom, k)?;
-        let spanner_edges = spanner.take_edges();
-        let m = dom.tree().len();
-        let mut cand_off = Vec::with_capacity(m + 1);
-        let mut cand = Vec::new();
-        cand_off.push(0);
-        for v in 0..m {
-            push_candidates(&dom, v, f, &mut cand);
-            cand_off.push(narrow(cand.len()));
-        }
+        let TreeOverlay {
+            dom,
+            mut spanner,
+            candidates,
+            instances,
+            pairs,
+        } = TreeOverlay::new(dom, k, f)?;
+        let spanner_edges = spanner.take_edges().len();
         let leaf_of = (0..n)
             .map(|p| dom.leaf_of(p).map_or(u32::MAX, narrow))
             .collect();
-        let tree = FtTree {
-            spanner,
-            leaf_of,
-            cand_off,
-            cand,
-        };
-        let mut pairs = Vec::new();
-        for &(a, b, _) in &spanner_edges {
-            for &pa in tree.candidates(a) {
-                for &pb in tree.candidates(b) {
-                    if pa != pb {
-                        // Keyed low-to-high: the weight is δ(min, max).
-                        pairs.push(pair_key(pa.min(pb) as usize, pa.max(pb) as usize));
-                    }
-                }
-            }
-        }
-        let instances = pairs.len();
-        pairs.sort_unstable();
-        pairs.dedup();
         Ok(BuiltTree {
-            tree,
-            spanner_edges: spanner_edges.len(),
+            tree: FtTree {
+                spanner,
+                leaf_of,
+                cand: candidates,
+            },
+            spanner_edges,
             instances,
             pairs,
         })
-    }
-
-    /// `R(v)`: the candidate points of tree vertex `v`.
-    #[inline]
-    fn candidates(&self, v: usize) -> &[u32] {
-        &self.cand[self.cand_off[v] as usize..self.cand_off[v + 1] as usize]
     }
 
     /// The k-hop tree-vertex path between the leaves of points `p` and
@@ -332,27 +402,10 @@ impl From<hopspan_pipeline::PipelineError> for FtError {
 }
 
 /// Narrows a point id, a tree vertex id or a per-tree candidate offset
-/// to the flat `u32` layout of [`FtTree`].
+/// to the flat `u32` layouts of [`FtTree`] and [`CandidateSets`].
 fn narrow(x: usize) -> u32 {
     // hopspan:allow(panic-in-lib) -- point ids, tree vertex ids and one tree's ≤ (f+1)·|T| candidates stay far below 2³² for any instance that fits in memory
     u32::try_from(x).expect("FT tree table fits u32")
-}
-
-/// Appends `R(v)` to `cand`: the vertex's associated point first (the
-/// robust-cover anchor, which is always a descendant leaf), then up to
-/// `f` other distinct descendant-leaf points.
-fn push_candidates(dom: &DominatingTree, v: usize, f: usize, cand: &mut Vec<u32>) {
-    let start = cand.len();
-    cand.push(narrow(dom.point_of(v)));
-    for &leaf in dom.descendant_leaves(v) {
-        if cand.len() - start > f {
-            break;
-        }
-        let p = narrow(dom.point_of(leaf));
-        if !cand[start..].contains(&p) {
-            cand.push(p);
-        }
-    }
 }
 
 impl FaultTolerantSpanner {
@@ -648,7 +701,7 @@ impl FaultTolerantSpanner {
                     scratch[i] = v;
                     continue;
                 }
-                let cand = t.candidates(scratch[i]);
+                let cand = t.cand.of(scratch[i]);
                 // Any non-faulty candidate is valid (robustness); pick the
                 // one closest to the previous path point to keep the
                 // realized constant small.
@@ -689,7 +742,7 @@ impl FaultTolerantSpanner {
                 continue;
             }
             scratch.dedup();
-            let w: f64 = scratch.windows(2).map(|p| metric.dist(p[0], p[1])).sum();
+            let w = path_weight(metric, scratch);
             if best.is_none_or(|bw| w < bw) {
                 best = Some(w);
                 std::mem::swap(out, scratch);
@@ -733,10 +786,10 @@ impl FaultTolerantSpanner {
 
     /// Measures worst-case stretch and hops over all non-faulty pairs
     /// for a given faulty set (for tests and experiments). Rows of the
-    /// pair triangle fan out across the preprocessing worker pool; each
-    /// worker reuses one pair of path buffers, and the per-row
-    /// `(max, max)` partials are folded in row order, so the result is
-    /// identical for every worker count.
+    /// pair triangle fan out across the preprocessing worker pool
+    /// through [`hopspan_pipeline::max_over_rows`]; each worker reuses
+    /// one pair of path buffers, so the result is identical for every
+    /// worker count.
     ///
     /// # Errors
     ///
@@ -747,9 +800,7 @@ impl FaultTolerantSpanner {
         metric: &M,
         faulty: &HashSet<usize>,
     ) -> Result<(f64, usize), FtError> {
-        let workers = hopspan_pipeline::resolve_workers(None);
-        let rows: Vec<usize> = (0..self.n).collect();
-        let partials = hopspan_pipeline::try_parallel_map(workers, &rows, |_, &u| {
+        hopspan_pipeline::max_over_rows(self.n, |u| {
             let mut worst = 1.0f64;
             let mut hops = 0;
             if faulty.contains(&u) {
@@ -765,24 +816,14 @@ impl FaultTolerantSpanner {
                 for &p in &path {
                     assert!(!faulty.contains(&p), "path uses faulty point {p}");
                 }
-                let w: f64 = path.windows(2).map(|p| metric.dist(p[0], p[1])).sum();
                 let d = metric.dist(u, v);
                 if d > 0.0 {
-                    worst = worst.max(w / d);
+                    worst = worst.max(path_weight(metric, &path) / d);
                 }
                 hops = hops.max(path.len() - 1);
             }
-            Ok::<_, FtError>((worst, hops))
+            Ok((worst, hops))
         })
-        .map_err(FtError::Pipeline)?;
-        let mut worst = 1.0f64;
-        let mut hops = 0;
-        for row in partials {
-            let (w, h) = row?;
-            worst = worst.max(w);
-            hops = hops.max(h);
-        }
-        Ok((worst, hops))
     }
 }
 
@@ -854,7 +895,7 @@ mod tests {
         let sp = FaultTolerantSpanner::new(&m, 0.25, f, 2).unwrap();
         let mut frequency = [0usize; 24];
         for t in &sp.trees {
-            for &p in &t.cand {
+            for &p in &t.cand.points {
                 frequency[p as usize] += 1;
             }
         }

@@ -46,9 +46,11 @@ mod navigation;
 
 pub use error::HopspanError;
 pub use fault_tolerant::{
-    DegradationPolicy, DegradeReason, FaultTolerantSpanner, FtError, FtPath, FtPathOutcome,
+    CandidateSets, DegradationPolicy, DegradeReason, FaultTolerantSpanner, FtError, FtPath,
+    FtPathOutcome, TreeOverlay,
 };
 pub use fnv::Fnv1a;
+pub use materialize::{pair_key, EdgeMerger};
 pub use navigation::{MetricNavigator, MetricNavigatorParts, NavTreeParts, NavigationError};
 
 /// Flat serialization parts of the per-tree spanner structures,

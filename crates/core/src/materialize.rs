@@ -8,7 +8,11 @@ use hopspan_metric::Metric;
 /// so keys order by `(min, max)`, and in the low bit whether the
 /// instance came flipped (`a > b`), so the weight is read in the
 /// orientation of the pair's first instance.
-pub(crate) fn pair_key(a: usize, b: usize) -> u64 {
+///
+/// # Panics
+///
+/// Panics if a point id is 2³¹ or more.
+pub fn pair_key(a: usize, b: usize) -> u64 {
     let hi = u64::try_from(a.max(b))
         .ok()
         .filter(|&x| x < 1 << 31)
@@ -24,14 +28,14 @@ pub(crate) fn pair_key(a: usize, b: usize) -> u64 {
 /// so it stays within about twice the distinct pair count plus one
 /// tree's keys, however many instances stream through.
 #[derive(Debug, Default)]
-pub(crate) struct EdgeMerger {
+pub struct EdgeMerger {
     keys: Vec<u64>,
     distinct: usize,
 }
 
 impl EdgeMerger {
     /// Appends the keys of one tree, in emission order.
-    pub(crate) fn extend(&mut self, keys: impl IntoIterator<Item = u64>) {
+    pub fn extend(&mut self, keys: impl IntoIterator<Item = u64>) {
         self.keys.extend(keys);
         if self.keys.len() - self.distinct > self.distinct.max(1 << 16) {
             self.compact();
@@ -48,7 +52,7 @@ impl EdgeMerger {
     }
 
     /// The edges `(u, v, δ(·,·))` with `u < v`, sorted by `(u, v)`.
-    pub(crate) fn finish<M: Metric>(mut self, metric: &M) -> Vec<(usize, usize, f64)> {
+    pub fn finish<M: Metric>(mut self, metric: &M) -> Vec<(usize, usize, f64)> {
         self.compact();
         self.keys
             .iter()

@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use hopspan_metric::{Graph, Metric};
+use hopspan_metric::{path_weight, Graph, Metric};
 use hopspan_pipeline::BuildStats;
 use hopspan_tree_cover::{
     CoverError, DominatingTree, RamseyTreeCover, RobustTreeCover, SeparatorTreeCover, TreeCover,
@@ -680,17 +680,12 @@ impl MetricNavigator {
         Ok(())
     }
 
-    /// The weight of a point path under `metric`.
-    pub fn path_weight<M: Metric>(metric: &M, path: &[usize]) -> f64 {
-        path.windows(2).map(|w| metric.dist(w[0], w[1])).sum()
-    }
-
     /// Measures the realized worst-case stretch and hop count over all
     /// pairs (O(n²·(k+ζ)) work; for tests and experiments). Rows of the
-    /// pair triangle fan out across the preprocessing worker pool; each
-    /// worker reuses one path buffer, and the per-row `(max, max)`
-    /// partials are folded in row order, so the result is identical for
-    /// every worker count.
+    /// pair triangle fan out across the preprocessing worker pool
+    /// through [`hopspan_pipeline::max_over_rows`]; each worker reuses
+    /// one path buffer, so the result is identical for every worker
+    /// count.
     ///
     /// # Errors
     ///
@@ -701,32 +696,21 @@ impl MetricNavigator {
         &self,
         metric: &M,
     ) -> Result<(f64, usize), NavigationError> {
-        let workers = hopspan_pipeline::resolve_workers(None);
-        let rows: Vec<usize> = (0..self.n).collect();
-        let partials = hopspan_pipeline::try_parallel_map(workers, &rows, |_, &u| {
+        hopspan_pipeline::max_over_rows(self.n, |u| {
             let mut worst = 1.0f64;
             let mut hops = 0usize;
             let mut path = Vec::with_capacity(self.k + 1);
             for v in (u + 1)..self.n {
                 let d = metric.dist(u, v);
                 self.find_path_into(u, v, &mut path)?;
-                let w = Self::path_weight(metric, &path);
+                let w = path_weight(metric, &path);
                 if d > 0.0 {
                     worst = worst.max(w / d);
                 }
                 hops = hops.max(path.len() - 1);
             }
-            Ok::<_, NavigationError>((worst, hops))
+            Ok((worst, hops))
         })
-        .map_err(NavigationError::Pipeline)?;
-        let mut worst = 1.0f64;
-        let mut hops = 0usize;
-        for row in partials {
-            let (w, h) = row?;
-            worst = worst.max(w);
-            hops = hops.max(h);
-        }
-        Ok((worst, hops))
     }
 }
 

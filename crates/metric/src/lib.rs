@@ -42,6 +42,6 @@ pub use audit::{
 pub use graph::{Graph, GraphError};
 pub use mst::{minimum_spanning_tree, mst_weight, spanner_lightness, spanner_max_stretch};
 pub use space::{
-    aspect_ratio, estimate_doubling_constant, exactly_zero, validate_metric, EuclideanSpace,
-    GraphMetric, MatrixMetric, Metric, MetricError, TreeMetricSpace,
+    aspect_ratio, estimate_doubling_constant, exactly_zero, path_weight, validate_metric,
+    EuclideanSpace, GraphMetric, MatrixMetric, Metric, MetricError, TreeMetricSpace,
 };

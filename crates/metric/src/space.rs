@@ -94,6 +94,12 @@ pub trait Metric {
     }
 }
 
+/// The weight of a point path under `metric`: the sum of its hop
+/// distances, left to right.
+pub fn path_weight<M: Metric + ?Sized>(metric: &M, path: &[usize]) -> f64 {
+    path.windows(2).map(|w| metric.dist(w[0], w[1])).sum()
+}
+
 /// Whether a self-distance honours the exactness contract of
 /// [`Metric`]: the diagonal must be bit-exact `0.0` (`-0.0` compares
 /// equal and is also accepted). This is the single sanctioned

@@ -392,6 +392,29 @@ where
         .collect())
 }
 
+/// The worst `(stretch, hops)` over the source rows `0..n` of an
+/// all-pairs measurement: `row(u)` returns row `u`'s own maxima and runs
+/// on the automatic worker pool through [`try_parallel_map`]; the rows
+/// are max-folded in row order from `(1.0, 0)`, so the result is
+/// identical for every worker count.
+///
+/// # Errors
+///
+/// The lowest failing row's error, or the contained worker panic.
+pub fn max_over_rows<E, F>(n: usize, row: F) -> Result<(f64, usize), E>
+where
+    E: From<PipelineError> + Send,
+    F: Fn(usize) -> Result<(f64, usize), E> + Sync,
+{
+    let rows: Vec<usize> = (0..n).collect();
+    let mut worst = (1.0f64, 0usize);
+    for r in try_parallel_map(resolve_workers(None), &rows, |_, &u| row(u))? {
+        let (w, h) = r?;
+        worst = (worst.0.max(w), worst.1.max(h));
+    }
+    Ok(worst)
+}
+
 /// One timed phase of a build.
 #[derive(Debug, Clone)]
 pub struct PhaseStat {

@@ -1,41 +1,29 @@
 //! Fault-tolerant 2-hop routing in doubling metrics (Theorem 5.2, §5.2).
 //!
-//! Built like [`crate::MetricRoutingScheme`] over the robust tree cover,
-//! but every label/table entry stores the ports of all `f + 1` candidates
-//! `R(w)` of the relevant cut vertex, and the overlay is the biclique
-//! spanner of Theorem 4.2. The local decision scans the candidates for a
+//! The scheme is [`crate::MetricRoutingScheme`]'s doubling scheme built
+//! with tolerance `f`: every label/table entry stores the ports of all
+//! `f + 1` candidates `R(w)` of the relevant cut vertex, and the overlay
+//! is the biclique spanner of Theorem 4.2 (f = 0 recovers the plain
+//! scheme exactly). The local decision scans the candidates for a
 //! non-faulty one — O(f) decision time; label and table sizes grow by a
 //! factor of `f + 1`.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 use hopspan_core::{DegradationPolicy, DegradeReason, FtPathOutcome};
-use hopspan_metric::Metric;
+use hopspan_metric::{path_weight, Metric};
 use hopspan_pipeline::BuildStats;
-use hopspan_tree_cover::{DominatingTree, RobustTreeCover};
-use hopspan_tree_spanner::TreeHopSpanner;
-use hopspan_treealg::DistanceLabeling;
 use rand::Rng;
 
-use crate::network::{Header, Network, RouteTrace};
-use crate::scheme::{route_on_tree_into, PerTreeScheme, RoutingError, SchemeStats};
-use crate::NavBuildError;
+use crate::network::{Network, RouteTrace};
+use crate::scheme::{route_on_tree_into, RoutingError, SchemeStats};
+use crate::{MetricRoutingScheme, NavBuildError};
 
 /// An f-fault-tolerant 2-hop routing scheme for doubling metrics.
 #[derive(Debug)]
 pub struct FtMetricRoutingScheme {
-    net: Network,
-    trees: Vec<FtTreeUnit>,
+    scheme: MetricRoutingScheme,
     f: usize,
-    n: usize,
-    stats: SchemeStats,
-}
-
-#[derive(Debug)]
-struct FtTreeUnit {
-    dom: DominatingTree,
-    scheme: PerTreeScheme,
-    labeling: DistanceLabeling,
 }
 
 impl FtMetricRoutingScheme {
@@ -68,127 +56,8 @@ impl FtMetricRoutingScheme {
         rng: &mut R,
         workers: Option<usize>,
     ) -> Result<(Self, BuildStats), NavBuildError> {
-        let n = metric.len();
-        let workers = hopspan_pipeline::resolve_workers(workers);
-        let mut stats = BuildStats::new(workers);
-        let (cover, cover_stats) = RobustTreeCover::new_with_stats(metric, eps, Some(workers))?;
-        stats.absorb("cover", cover_stats);
-        stats.tree_count = 0;
-        let doms = cover.into_cover().into_trees();
-        // Candidate sets and the biclique overlay (Theorem 4.2), per
-        // tree on scoped workers; the overlay merge below runs in
-        // tree-index order so the network is worker-count independent.
-        type FtBuilt = (TreeHopSpanner, Vec<Vec<usize>>, Vec<(usize, usize)>);
-        let built: Vec<FtBuilt> = stats.phase("spanners", || {
-            hopspan_pipeline::try_parallel_map(workers, &doms, |_, dom| {
-                let tree = dom.tree();
-                let required: Vec<bool> =
-                    (0..tree.len()).map(|v| tree.child_count(v) == 0).collect();
-                let spanner = TreeHopSpanner::with_required(tree, &required, 2)?;
-                // Anchor-first R(v): the associated point (a descendant
-                // leaf by robustness), then up to f other distinct leaf
-                // points.
-                let cands: Vec<Vec<usize>> = (0..tree.len())
-                    .map(|v| {
-                        let mut out = vec![dom.point_of(v)];
-                        for &leaf in dom.descendant_leaves(v) {
-                            if out.len() > f {
-                                break;
-                            }
-                            let p = dom.point_of(leaf);
-                            if !out.contains(&p) {
-                                out.push(p);
-                            }
-                        }
-                        out
-                    })
-                    .collect();
-                let mut pairs = Vec::new();
-                for &(a, b, _) in spanner.edges() {
-                    for &pa in &cands[a] {
-                        for &pb in &cands[b] {
-                            if pa != pb {
-                                pairs.push((pa.min(pb), pa.max(pb)));
-                            }
-                        }
-                    }
-                }
-                Ok((spanner, cands, pairs))
-            })
-            .map_err(NavBuildError::Pipeline)?
-            .into_iter()
-            .collect::<Result<_, hopspan_tree_spanner::TreeSpannerError>>()
-            .map_err(NavBuildError::Spanner)
-        })?;
-        stats.tree_count = built.len();
-        stats.per_tree_spanner_edges = built.iter().map(|(s, _, _)| s.edges().len()).collect();
-        let overlay_start = std::time::Instant::now();
-        // BTreeSet iteration yields the overlay sorted by (u, v),
-        // independent of tree processing order.
-        let mut overlay: BTreeSet<(usize, usize)> = BTreeSet::new();
-        let mut spanners = Vec::with_capacity(built.len());
-        let mut cand_sets: Vec<Vec<Vec<usize>>> = Vec::with_capacity(built.len());
-        for (spanner, cands, pairs) in built {
-            stats.edge_instances += pairs.len();
-            overlay.extend(pairs);
-            spanners.push(spanner);
-            cand_sets.push(cands);
-        }
-        let overlay: Vec<(usize, usize)> = overlay.into_iter().collect();
-        stats.edges_after_dedup = overlay.len();
-        let net = Network::new(n, &overlay, rng);
-        stats.record_phase("overlay", overlay_start.elapsed());
-        let schemes_start = std::time::Instant::now();
-        let mut trees = Vec::with_capacity(doms.len());
-        for ((dom, spanner), cands) in doms.into_iter().zip(spanners).zip(cand_sets) {
-            let point_of = {
-                let d = &dom;
-                move |tv: usize| d.point_of(tv)
-            };
-            let candidates = {
-                let c = &cands;
-                move |tv: usize| c[tv].clone()
-            };
-            let scheme =
-                PerTreeScheme::build(dom.tree(), &spanner, &point_of, &candidates, &net, n);
-            let labeling = DistanceLabeling::new(dom.tree());
-            trees.push(FtTreeUnit {
-                dom,
-                scheme,
-                labeling,
-            });
-        }
-        let (id_bits, port_bits) = (net.id_bits(), net.port_bits());
-        let mut scheme_stats = SchemeStats {
-            header_bits: Header::PortHint(0).bits(id_bits, port_bits),
-            ..Default::default()
-        };
-        for p in 0..n {
-            let mut label = 0usize;
-            let mut table = 0usize;
-            for t in &trees {
-                label += t.scheme.label_bits(p, id_bits, port_bits);
-                table += t.scheme.table_bits(p, id_bits, port_bits);
-                if let Some(leaf) = t.dom.leaf_of(p) {
-                    let dl = t.labeling.label_bits(leaf);
-                    label += dl;
-                    table += dl;
-                }
-            }
-            scheme_stats.max_label_bits = scheme_stats.max_label_bits.max(label);
-            scheme_stats.max_table_bits = scheme_stats.max_table_bits.max(table);
-        }
-        stats.record_phase("schemes", schemes_start.elapsed());
-        Ok((
-            FtMetricRoutingScheme {
-                net,
-                trees,
-                f,
-                n,
-                stats: scheme_stats,
-            },
-            stats,
-        ))
+        let (scheme, stats) = MetricRoutingScheme::robust_with_stats(metric, eps, f, rng, workers)?;
+        Ok((FtMetricRoutingScheme { scheme, f }, stats))
     }
 
     /// The fault-tolerance parameter f.
@@ -198,17 +67,17 @@ impl FtMetricRoutingScheme {
 
     /// Number of trees ζ.
     pub fn tree_count(&self) -> usize {
-        self.trees.len()
+        self.scheme.tree_count()
     }
 
     /// Size statistics (bits).
     pub fn stats(&self) -> SchemeStats {
-        self.stats
+        self.scheme.stats()
     }
 
     /// The overlay network (the Theorem 4.2 biclique spanner with ports).
     pub fn network(&self) -> &Network {
-        &self.net
+        self.scheme.network()
     }
 
     /// Routes from `u` to `v` while avoiding `faulty` nodes: tries trees
@@ -227,7 +96,7 @@ impl FtMetricRoutingScheme {
         faulty: &HashSet<usize>,
     ) -> Result<RouteTrace, RoutingError> {
         let mut trace = RouteTrace::default();
-        let mut order = Vec::with_capacity(self.trees.len()); // hopspan:allow(alloc-on-query-path) -- convenience wrapper: allocates the caller-owned buffer once, then delegates to the *_into hot path
+        let mut order = Vec::with_capacity(self.scheme.trees.len()); // hopspan:allow(alloc-on-query-path) -- convenience wrapper: allocates the caller-owned buffer once, then delegates to the *_into hot path
         self.route_avoiding_into(u, v, faulty, &mut trace, &mut order)?;
         Ok(trace)
     }
@@ -251,10 +120,11 @@ impl FtMetricRoutingScheme {
         trace: &mut RouteTrace,
         order: &mut Vec<(usize, f64)>,
     ) -> Result<(), RoutingError> {
-        if u >= self.n || faulty.contains(&u) {
+        let rs = &self.scheme;
+        if u >= rs.n || faulty.contains(&u) {
             return Err(RoutingError::BadEndpoint { node: u });
         }
-        if v >= self.n || faulty.contains(&v) {
+        if v >= rs.n || faulty.contains(&v) {
             return Err(RoutingError::BadEndpoint { node: v });
         }
         if u == v {
@@ -266,7 +136,7 @@ impl FtMetricRoutingScheme {
         }
         // Order trees by decoded tree distance.
         order.clear();
-        for (i, t) in self.trees.iter().enumerate() {
+        for (i, t) in rs.trees.iter().enumerate() {
             let (Some(lu), Some(lv)) = (t.dom.leaf_of(u), t.dom.leaf_of(v)) else {
                 continue;
             };
@@ -282,7 +152,7 @@ impl FtMetricRoutingScheme {
         });
         let mut extra_steps = order.len();
         for &(ti, _) in order.iter() {
-            match route_on_tree_into(&self.trees[ti].scheme, &self.net, u, v, faulty, trace) {
+            match route_on_tree_into(&rs.trees[ti].scheme, &rs.net, u, v, faulty, trace) {
                 Ok(()) => {
                     if trace.path.iter().any(|p| faulty.contains(p)) {
                         continue;
@@ -331,7 +201,7 @@ impl FtMetricRoutingScheme {
         policy: DegradationPolicy,
     ) -> Result<(RouteTrace, FtPathOutcome), RoutingError> {
         let mut trace = RouteTrace::default();
-        let mut order = Vec::with_capacity(self.trees.len()); // hopspan:allow(alloc-on-query-path) -- convenience wrapper: allocates the caller-owned buffer once, then delegates to the *_into hot path
+        let mut order = Vec::with_capacity(self.scheme.trees.len()); // hopspan:allow(alloc-on-query-path) -- convenience wrapper: allocates the caller-owned buffer once, then delegates to the *_into hot path
         let outcome =
             self.route_avoiding_policy_into(metric, u, v, faulty, policy, &mut trace, &mut order)?;
         Ok((trace, outcome))
@@ -367,7 +237,7 @@ impl FtMetricRoutingScheme {
         if !over_budget {
             return Ok(FtPathOutcome::Full);
         }
-        let w: f64 = trace.path.windows(2).map(|x| metric.dist(x[0], x[1])).sum();
+        let w = path_weight(metric, &trace.path);
         let d = metric.dist(u, v);
         Ok(FtPathOutcome::Degraded {
             reason: DegradeReason::BudgetExceeded {
@@ -380,9 +250,9 @@ impl FtMetricRoutingScheme {
 
     /// Measured stretch/hops over all non-faulty pairs.
     ///
-    /// Source rows fan out over scoped workers; each worker reuses one
-    /// trace and one order-scratch buffer, and the per-row `(max, max)`
-    /// results are folded in row order, so the outcome is identical for
+    /// Source rows fan out over scoped workers through
+    /// [`hopspan_pipeline::max_over_rows`]; each worker reuses one trace
+    /// and one order-scratch buffer, so the outcome is identical for
     /// every worker count.
     ///
     /// # Errors
@@ -395,17 +265,16 @@ impl FtMetricRoutingScheme {
         metric: &M,
         faulty: &HashSet<usize>,
     ) -> Result<(f64, usize), RoutingError> {
-        let rows: Vec<usize> = (0..self.n).collect();
-        let workers = hopspan_pipeline::resolve_workers(None);
-        let per_row = hopspan_pipeline::try_parallel_map(workers, &rows, |_, &u| {
+        let n = self.scheme.n;
+        hopspan_pipeline::max_over_rows(n, |u| {
             let mut worst = 1.0f64;
             let mut hops = 0usize;
             if faulty.contains(&u) {
-                return Ok::<_, RoutingError>((worst, hops));
+                return Ok((worst, hops));
             }
             let mut trace = RouteTrace::default();
-            let mut order = Vec::with_capacity(self.trees.len());
-            for v in 0..self.n {
+            let mut order = Vec::with_capacity(self.scheme.trees.len());
+            for v in 0..n {
                 if u == v || faulty.contains(&v) {
                     continue;
                 }
@@ -414,24 +283,14 @@ impl FtMetricRoutingScheme {
                 for p in &trace.path {
                     assert!(!faulty.contains(p), "routed through a faulty node");
                 }
-                let w: f64 = trace.path.windows(2).map(|x| metric.dist(x[0], x[1])).sum();
                 let d = metric.dist(u, v);
                 if d > 0.0 {
-                    worst = worst.max(w / d);
+                    worst = worst.max(path_weight(metric, &trace.path) / d);
                 }
                 hops = hops.max(trace.hops());
             }
             Ok((worst, hops))
         })
-        .map_err(RoutingError::Pipeline)?;
-        let mut worst = 1.0f64;
-        let mut hops = 0usize;
-        for row in per_row {
-            let (w, h) = row?;
-            worst = worst.max(w);
-            hops = hops.max(h);
-        }
-        Ok((worst, hops))
     }
 }
 
@@ -537,6 +396,39 @@ mod tests {
         }
         // On this seed at least one over-budget pair still delivers.
         assert!(delivered > 0);
+    }
+
+    #[test]
+    fn zero_tolerance_is_plain_doubling_routing() {
+        // Theorem 5.2 with f = 0 is Theorem 1.3's scheme: the same
+        // overlay, ports, bit statistics and routes.
+        for (n, eps, seed) in [(20usize, 0.5, 1u64), (40, 0.25, 2), (64, 0.5, 3)] {
+            let m = gen::uniform_points(n, 2, &mut ChaCha8Rng::seed_from_u64(seed));
+            let rng = || ChaCha8Rng::seed_from_u64(seed + 100);
+            let ft = FtMetricRoutingScheme::new(&m, eps, 0, &mut rng()).unwrap();
+            let plain = crate::MetricRoutingScheme::doubling(&m, eps, &mut rng()).unwrap();
+            assert_eq!(ft.stats(), plain.stats(), "n={n}");
+            let (a, b) = (ft.network(), plain.network());
+            assert_eq!(a.len(), b.len());
+            for v in 0..n {
+                let ports = |net: &Network| -> Vec<usize> {
+                    (0..net.degree(v)).map(|p| net.target(v, p)).collect()
+                };
+                assert_eq!(ports(a), ports(b), "n={n} node {v}");
+            }
+            let none = HashSet::new();
+            for u in 0..n {
+                for v in 0..n {
+                    let (x, y) = (
+                        ft.route_avoiding(u, v, &none).unwrap(),
+                        plain.route(u, v).unwrap(),
+                    );
+                    assert_eq!(x.path, y.path, "n={n} ({u},{v})");
+                    assert_eq!(x.max_header_bits, y.max_header_bits);
+                    assert_eq!(x.decision_steps, y.decision_steps);
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! * [`MetricRoutingScheme`] — (1+ε)- / O(ℓ)-stretch 2-hop routing for
 //!   doubling, general and planar metrics via tree covers (Theorem 1.3);
 //! * [`FtMetricRoutingScheme`] — the f-fault-tolerant variant (Thm 5.2).
+//!
+//! Both metric schemes come from one builder: per cover tree,
+//! `hopspan_core::TreeOverlay` at k = 2 gives the tree spanner, the
+//! candidate sets `R(v)` and the overlay pairs, and the labels and tables
+//! store the ports of every candidate. The plain scheme is the builder at
+//! f = 0, where `R(v)` is the vertex's own point; the fault-tolerant
+//! scheme is the same builder at f > 0.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +31,7 @@ mod scheme;
 mod tree;
 
 pub use fault_tolerant::FtMetricRoutingScheme;
-pub use metric::{MetricRoutingScheme, TreeSelection};
+pub use metric::MetricRoutingScheme;
 pub use network::{Header, Network, RouteTrace};
 pub use scheme::{NavBuildError, RoutingError, SchemeStats};
 pub use tree::TreeRoutingScheme;

@@ -1,19 +1,23 @@
-//! Routing in metric spaces via tree covers (Theorem 1.3, §5.1.2).
+//! Routing in metric spaces via tree covers (Theorems 1.3 and 5.2,
+//! §5.1.2 and §5.2), one builder for both.
 //!
 //! Every node carries, per tree of the cover, its tree-routing label and
-//! table (§5.1.1), plus a distance label used to select the tree. The
-//! overlay is the union of the materialized tree spanners — the same
-//! spanner `H_X` that Theorem 1.2 navigates. For Ramsey covers the
-//! destination's label names its home tree and selection is O(1); for
-//! plain covers the source decodes ζ distance labels and picks the
-//! minimum.
+//! table (§5.1.1), plus a distance label used to select the tree. Each
+//! tree is `hopspan-core`'s [`TreeOverlay`] at k = 2: the tree spanner
+//! with every vertex realized by its candidate set `R(v)`. The plain
+//! schemes take f = 0, so `R(v)` is the vertex's own point and the
+//! overlay is the spanner `H_X` that Theorem 1.2 navigates; the
+//! fault-tolerant scheme takes f > 0 and gets the biclique spanner of
+//! Theorem 4.2. For Ramsey covers the destination's label names its
+//! home tree and selection is O(1); for the other covers the source
+//! decodes ζ distance labels and picks the minimum.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
-use hopspan_metric::{Graph, Metric};
+use hopspan_core::{EdgeMerger, TreeOverlay};
+use hopspan_metric::{path_weight, Graph, Metric};
 use hopspan_pipeline::BuildStats;
 use hopspan_tree_cover::{DominatingTree, RamseyTreeCover, RobustTreeCover, SeparatorTreeCover};
-use hopspan_tree_spanner::TreeHopSpanner;
 use hopspan_treealg::DistanceLabeling;
 use rand::Rng;
 
@@ -21,21 +25,12 @@ use crate::network::{Header, Network, RouteTrace};
 use crate::scheme::{route_on_tree_into, PerTreeScheme, RoutingError, SchemeStats};
 use crate::NavBuildError;
 
-/// How the query selects the tree to route on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeSelection {
-    /// Decode ζ distance labels, pick the minimum (doubling/planar).
-    MinDistanceLabel,
-    /// Use the destination's home tree (Ramsey covers; O(1)).
-    HomeTree,
-}
-
 /// One tree of the cover with its routing structures.
 #[derive(Debug)]
-struct TreeUnit {
-    dom: DominatingTree,
-    scheme: PerTreeScheme,
-    labeling: DistanceLabeling,
+pub(crate) struct TreeUnit {
+    pub(crate) dom: DominatingTree,
+    pub(crate) scheme: PerTreeScheme,
+    pub(crate) labeling: DistanceLabeling,
 }
 
 /// A 2-hop routing scheme for a metric space (Theorem 1.3).
@@ -58,11 +53,11 @@ struct TreeUnit {
 /// ```
 #[derive(Debug)]
 pub struct MetricRoutingScheme {
-    net: Network,
-    trees: Vec<TreeUnit>,
-    selection: TreeSelection,
+    pub(crate) net: Network,
+    pub(crate) trees: Vec<TreeUnit>,
+    /// The home tree of every point (Ramsey covers), else `None`.
     home: Option<Vec<usize>>,
-    n: usize,
+    pub(crate) n: usize,
     stats: SchemeStats,
 }
 
@@ -93,6 +88,20 @@ impl MetricRoutingScheme {
         rng: &mut R,
         workers: Option<usize>,
     ) -> Result<(Self, BuildStats), NavBuildError> {
+        Self::robust_with_stats(metric, eps, 0, rng, workers)
+    }
+
+    /// The scheme over the robust tree cover with parameter `eps`, every
+    /// tree vertex realized by its candidate set `R(v)` of tolerance
+    /// `f`: Theorem 1.3's doubling scheme at f = 0, Theorem 5.2's
+    /// overlay and labels at f > 0.
+    pub(crate) fn robust_with_stats<M: Metric + Sync, R: Rng>(
+        metric: &M,
+        eps: f64,
+        f: usize,
+        rng: &mut R,
+        workers: Option<usize>,
+    ) -> Result<(Self, BuildStats), NavBuildError> {
         let workers = hopspan_pipeline::resolve_workers(workers);
         let mut stats = BuildStats::new(workers);
         let (cover, cover_stats) = RobustTreeCover::new_with_stats(metric, eps, Some(workers))?;
@@ -101,8 +110,8 @@ impl MetricRoutingScheme {
         let (rs, rs_stats) = Self::from_trees_with_stats(
             metric,
             cover.into_cover().into_trees(),
-            TreeSelection::MinDistanceLabel,
             None,
+            f,
             rng,
             Some(workers),
         )?;
@@ -123,13 +132,7 @@ impl MetricRoutingScheme {
     ) -> Result<Self, NavBuildError> {
         let cover = RamseyTreeCover::new(metric, ell, rng)?;
         let home: Vec<usize> = (0..metric.len()).map(|p| cover.home(p)).collect();
-        Self::from_trees(
-            metric,
-            cover.into_cover().into_trees(),
-            TreeSelection::HomeTree,
-            Some(home),
-            rng,
-        )
+        Self::from_trees(metric, cover.into_cover().into_trees(), Some(home), rng)
     }
 
     /// Builds the scheme for a planar graph metric.
@@ -144,100 +147,82 @@ impl MetricRoutingScheme {
         rng: &mut R,
     ) -> Result<Self, NavBuildError> {
         let cover = SeparatorTreeCover::new(graph, eps)?;
-        Self::from_trees(
-            metric,
-            cover.into_cover().into_trees(),
-            TreeSelection::MinDistanceLabel,
-            None,
-            rng,
-        )
+        Self::from_trees(metric, cover.into_cover().into_trees(), None, rng)
     }
 
     fn from_trees<M: Metric, R: Rng>(
         metric: &M,
         doms: Vec<DominatingTree>,
-        selection: TreeSelection,
         home: Option<Vec<usize>>,
         rng: &mut R,
     ) -> Result<Self, NavBuildError> {
-        Self::from_trees_with_stats(metric, doms, selection, home, rng, None).map(|(rs, _)| rs)
+        Self::from_trees_with_stats(metric, doms, home, 0, rng, None).map(|(rs, _)| rs)
     }
 
+    /// The one builder: every tree's [`TreeOverlay`] at k = 2 with
+    /// tolerance `f`, the overlay network over their merged pairs, and
+    /// the per-tree labels and tables.
     fn from_trees_with_stats<M: Metric, R: Rng>(
         metric: &M,
         doms: Vec<DominatingTree>,
-        selection: TreeSelection,
         home: Option<Vec<usize>>,
+        f: usize,
         rng: &mut R,
         workers: Option<usize>,
     ) -> Result<(Self, BuildStats), NavBuildError> {
         let n = metric.len();
         let workers = hopspan_pipeline::resolve_workers(workers);
         let mut stats = BuildStats::new(workers);
-        // Per-tree spanners and their materialized point pairs fan out
-        // over scoped workers; the overlay is merged sequentially in
-        // tree-index order, so it is identical for every worker count.
-        let built: Vec<(TreeHopSpanner, Vec<(usize, usize)>)> = stats.phase("spanners", || {
-            hopspan_pipeline::try_parallel_map(workers, &doms, |_, dom| {
-                let tree = dom.tree();
-                let required: Vec<bool> =
-                    (0..tree.len()).map(|v| tree.child_count(v) == 0).collect();
-                let spanner = TreeHopSpanner::with_required(tree, &required, 2)?;
-                let mut pairs = Vec::with_capacity(spanner.edges().len());
-                for &(a, b, _) in spanner.edges() {
-                    let (pa, pb) = (dom.point_of(a), dom.point_of(b));
-                    if pa != pb {
-                        pairs.push((pa.min(pb), pa.max(pb)));
-                    }
-                }
-                Ok((spanner, pairs))
-            })
-            .map_err(NavBuildError::Pipeline)?
+        // Per-tree spanners, candidate sets and point pairs fan out over
+        // scoped workers (they never read the metric); the overlay is
+        // merged sequentially in tree-index order, so it is identical
+        // for every worker count.
+        let mut overlays: Vec<TreeOverlay> = stats.phase("spanners", || {
+            hopspan_pipeline::try_parallel_map_owned(workers, doms, |_, dom| {
+                TreeOverlay::new(dom, 2, f)
+            })?
             .into_iter()
-            .collect::<Result<_, hopspan_tree_spanner::TreeSpannerError>>()
+            .collect::<Result<_, _>>()
             .map_err(NavBuildError::Spanner)
         })?;
-        stats.tree_count = built.len();
-        stats.per_tree_spanner_edges = built.iter().map(|(s, _)| s.edges().len()).collect();
+        stats.tree_count = overlays.len();
+        stats.per_tree_spanner_edges = overlays.iter().map(|t| t.spanner.edges().len()).collect();
+        stats.edge_instances = overlays.iter().map(|t| t.instances).sum();
         let overlay_start = std::time::Instant::now();
-        // BTreeSet iteration yields the overlay sorted by (u, v),
-        // independent of tree processing order.
-        let mut overlay: BTreeSet<(usize, usize)> = BTreeSet::new();
-        let mut spanners = Vec::with_capacity(built.len());
-        for (spanner, pairs) in built {
-            stats.edge_instances += pairs.len();
-            overlay.extend(pairs);
-            spanners.push(spanner);
+        // The merge yields each pair once, sorted by (u, v), so the
+        // network draws its port permutations in a fixed order.
+        let mut merger = EdgeMerger::default();
+        for t in &mut overlays {
+            merger.extend(std::mem::take(&mut t.pairs));
         }
-        let overlay: Vec<(usize, usize)> = overlay.into_iter().collect();
-        stats.edges_after_dedup = overlay.len();
-        let net = Network::new(n, &overlay, rng);
+        let pairs: Vec<(usize, usize)> = merger
+            .finish(metric)
+            .into_iter()
+            .map(|(u, v, _)| (u, v))
+            .collect();
+        stats.edges_after_dedup = pairs.len();
+        let net = Network::new(n, &pairs, rng);
         stats.record_phase("overlay", overlay_start.elapsed());
         let schemes_start = std::time::Instant::now();
-        let mut trees = Vec::with_capacity(doms.len());
-        for (dom, spanner) in doms.into_iter().zip(spanners) {
-            let point_of = {
-                let d = &dom;
-                move |tv: usize| d.point_of(tv)
-            };
-            let candidates = {
-                let d = &dom;
-                move |tv: usize| vec![d.point_of(tv)]
-            };
-            let scheme =
-                PerTreeScheme::build(dom.tree(), &spanner, &point_of, &candidates, &net, n);
-            let labeling = DistanceLabeling::new(dom.tree());
-            trees.push(TreeUnit {
-                dom,
-                scheme,
-                labeling,
-            });
-        }
+        let trees: Vec<TreeUnit> = overlays
+            .into_iter()
+            .map(|t| TreeUnit {
+                scheme: PerTreeScheme::build(
+                    t.dom.tree(),
+                    &t.spanner,
+                    &|tv| t.dom.point_of(tv),
+                    &|tv| t.candidates.of(tv),
+                    &net,
+                    n,
+                ),
+                labeling: DistanceLabeling::new(t.dom.tree()),
+                dom: t.dom,
+            })
+            .collect();
         let header_bits = Header::PortHint(0).bits(net.id_bits(), net.port_bits());
         let mut scheme = MetricRoutingScheme {
             net,
             trees,
-            selection,
             home,
             n,
             stats: SchemeStats {
@@ -306,22 +291,20 @@ impl MetricRoutingScheme {
     /// tree for Ramsey covers, else the minimum over decoded distance
     /// labels.
     pub fn select_tree(&self, u: usize, v: usize) -> Option<usize> {
-        match self.selection {
-            TreeSelection::HomeTree => Some(self.home.as_ref()?[v]),
-            TreeSelection::MinDistanceLabel => {
-                let mut best: Option<(usize, f64)> = None;
-                for (i, t) in self.trees.iter().enumerate() {
-                    let (Some(lu), Some(lv)) = (t.dom.leaf_of(u), t.dom.leaf_of(v)) else {
-                        continue;
-                    };
-                    let d = t.labeling.distance(lu, lv);
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((i, d));
-                    }
-                }
-                best.map(|(i, _)| i)
+        if let Some(home) = &self.home {
+            return Some(home[v]);
+        }
+        let mut best: Option<(usize, f64)> = None;
+        for (i, t) in self.trees.iter().enumerate() {
+            let (Some(lu), Some(lv)) = (t.dom.leaf_of(u), t.dom.leaf_of(v)) else {
+                continue;
+            };
+            let d = t.labeling.distance(lu, lv);
+            if best.is_none_or(|(_, bd)| d < bd) {
+                best = Some((i, d));
             }
         }
+        best.map(|(i, _)| i)
     }
 
     /// Routes a packet from `u` to `v`.
@@ -373,7 +356,7 @@ impl MetricRoutingScheme {
             &HashSet::new(), // hopspan:allow(alloc-on-query-path) -- an empty HashSet never heap-allocates; this path routes with a vacuously empty fault set
             trace,
         )?;
-        if self.selection == TreeSelection::MinDistanceLabel {
+        if self.home.is_none() {
             // Account for the ζ label decodes of the selection step.
             trace.decision_steps += self.trees.len();
         }
@@ -382,9 +365,9 @@ impl MetricRoutingScheme {
 
     /// Measured stretch/hops over all pairs (tests and experiments).
     ///
-    /// Source rows fan out over scoped workers; each worker reuses one
-    /// trace buffer, and the per-row `(max, max)` results are folded in
-    /// row order, so the outcome is identical for every worker count.
+    /// Source rows fan out over scoped workers through
+    /// [`hopspan_pipeline::max_over_rows`]; each worker reuses one trace
+    /// buffer, so the outcome is identical for every worker count.
     ///
     /// # Errors
     ///
@@ -394,9 +377,7 @@ impl MetricRoutingScheme {
         &self,
         metric: &M,
     ) -> Result<(f64, usize), RoutingError> {
-        let rows: Vec<usize> = (0..self.n).collect();
-        let workers = hopspan_pipeline::resolve_workers(None);
-        let per_row = hopspan_pipeline::try_parallel_map(workers, &rows, |_, &u| {
+        hopspan_pipeline::max_over_rows(self.n, |u| {
             let mut trace = RouteTrace::default();
             let mut worst = 1.0f64;
             let mut hops = 0usize;
@@ -406,24 +387,14 @@ impl MetricRoutingScheme {
                 }
                 self.route_into(u, v, &mut trace)?;
                 assert_eq!(trace.path.last(), Some(&v), "misrouted ({u},{v})");
-                let w: f64 = trace.path.windows(2).map(|x| metric.dist(x[0], x[1])).sum();
                 let d = metric.dist(u, v);
                 if d > 0.0 {
-                    worst = worst.max(w / d);
+                    worst = worst.max(path_weight(metric, &trace.path) / d);
                 }
                 hops = hops.max(trace.hops());
             }
-            Ok::<_, RoutingError>((worst, hops))
+            Ok((worst, hops))
         })
-        .map_err(RoutingError::Pipeline)?;
-        let mut worst = 1.0f64;
-        let mut hops = 0usize;
-        for row in per_row {
-            let (w, h) = row?;
-            worst = worst.max(w);
-            hops = hops.max(h);
-        }
-        Ok((worst, hops))
     }
 }
 

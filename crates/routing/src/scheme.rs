@@ -218,13 +218,14 @@ impl PerTreeScheme {
     /// * `spanner` — its k = 2 [`TreeHopSpanner`];
     /// * `point_of(tv)` — network node of tree vertex `tv`;
     /// * `candidates(tv)` — candidate network nodes realizing `tv`
-    ///   (singleton for plain schemes, `R(v)` for fault tolerance);
+    ///   (`tv`'s own node for plain schemes, `R(v)` for fault
+    ///   tolerance);
     /// * `net` — the overlay with ports.
-    pub fn build(
+    pub fn build<'a>(
         tree: &RootedTree,
         spanner: &TreeHopSpanner,
         point_of: &dyn Fn(usize) -> usize,
-        candidates: &dyn Fn(usize) -> Vec<usize>,
+        candidates: &dyn Fn(usize) -> &'a [u32],
         net: &Network,
         n_nodes: usize,
     ) -> Self {
@@ -265,21 +266,23 @@ impl PerTreeScheme {
             debug_assert!(!spanner.phi_is_base(node));
             spanner.phi_inner(node)[0]
         };
-        let ports_from_me = |me: usize, cand: &[usize]| -> CutPorts {
+        let ports_from_me = |me: usize, cand: &[u32]| -> CutPorts {
             CutPorts {
-                member: cand.contains(&me),
+                member: cand.iter().any(|&c| c as usize == me),
                 ports: cand
                     .iter()
-                    .map(|&c| (c, if c == me { None } else { Some(net.port(me, c)) }))
+                    .map(|&c| c as usize)
+                    .map(|c| (c, if c == me { None } else { Some(net.port(me, c)) }))
                     .collect(),
             }
         };
-        let ports_to_me = |me: usize, cand: &[usize]| -> CutPorts {
+        let ports_to_me = |me: usize, cand: &[u32]| -> CutPorts {
             CutPorts {
-                member: cand.contains(&me),
+                member: cand.iter().any(|&c| c as usize == me),
                 ports: cand
                     .iter()
-                    .map(|&c| (c, if c == me { None } else { Some(net.port(c, me)) }))
+                    .map(|&c| c as usize)
+                    .map(|c| (c, if c == me { None } else { Some(net.port(c, me)) }))
                     .collect(),
             }
         };
@@ -313,8 +316,8 @@ impl PerTreeScheme {
                 let cand = candidates(cut_of(node));
                 // Ports from each candidate to me (for my label) and from
                 // me to each candidate (for my table).
-                anc_in.push(Some(ports_to_me(pv, &cand)));
-                anc_out.push(Some(ports_from_me(pv, &cand)));
+                anc_in.push(Some(ports_to_me(pv, cand)));
+                anc_out.push(Some(ports_from_me(pv, cand)));
             }
             let home_is_base = spanner.phi_is_base(home);
             labels[pv] = Some(NodeLabel {
@@ -354,14 +357,17 @@ impl PerTreeScheme {
                             BasePath::Direct => BaseRoute::Direct(net.port(pa, pb)),
                             BasePath::Via(mid) => {
                                 let cand = candidates(mid);
-                                if cand.contains(&pa) || cand.contains(&pb) {
+                                if cand.iter().any(|&c| c as usize == pa || c as usize == pb) {
                                     // The intermediate materializes onto an
                                     // endpoint: route directly.
                                     BaseRoute::Direct(net.port(pa, pb))
                                 } else {
                                     BaseRoute::Via(
                                         cand.iter()
-                                            .map(|&c| (c, net.port(pa, c), net.port(c, pb)))
+                                            .map(|&c| {
+                                                let c = c as usize;
+                                                (c, net.port(pa, c), net.port(c, pb))
+                                            })
                                             .collect(),
                                     )
                                 }

@@ -56,9 +56,9 @@ impl TreeRoutingScheme {
         let overlay: Vec<(usize, usize)> =
             spanner.edges().iter().map(|&(a, b, _)| (a, b)).collect();
         let net = Network::new(n, &overlay, rng);
-        let identity = |tv: usize| tv;
-        let singleton = |tv: usize| vec![tv];
-        let scheme = PerTreeScheme::build(tree, &spanner, &identity, &singleton, &net, n);
+        // Every tree vertex is its own network node.
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let scheme = PerTreeScheme::build(tree, &spanner, &|tv| tv, &|tv| &ids[tv..=tv], &net, n);
         let (id_bits, port_bits) = (net.id_bits(), net.port_bits());
         let mut stats = SchemeStats {
             header_bits: Header::PortHint(0).bits(id_bits, port_bits),

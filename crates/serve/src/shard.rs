@@ -56,7 +56,7 @@ use hopspan_core::{
     NavigationError,
 };
 use hopspan_dynamic::{DynConfig, DynError, DynamicNavigator};
-use hopspan_metric::{EuclideanSpace, Metric};
+use hopspan_metric::{path_weight, EuclideanSpace, Metric};
 // Adopting poison is safe here: state under every lock in this module
 // is written panic-atomically, so a poisoned guard is safe to adopt.
 use hopspan_pipeline::{lock_resilient, wait_resilient};
@@ -98,8 +98,9 @@ pub struct BackendParams {
     pub k: usize,
     /// Cover parameter ε for the fault-tolerant spanner.
     pub eps: f64,
-    /// Fault tolerance f (0 disables the FT structure unless
-    /// `build_ft` forces it).
+    /// Fault tolerance f of the FT spanner. `build_ft` alone decides
+    /// whether that spanner is built; with f = 0 it is built all the
+    /// same and tolerates no fault.
     pub f: usize,
     /// Whether to build the Theorem 1.3 routing scheme (`Route`).
     pub build_router: bool,
@@ -1221,8 +1222,7 @@ fn realized_stretch<M: Metric>(metric: &M, path: &[usize]) -> f64 {
     if d <= 0.0 {
         return 1.0;
     }
-    let w: f64 = path.windows(2).map(|w| metric.dist(w[0], w[1])).sum();
-    (w / d).max(1.0)
+    (path_weight(metric, path) / d).max(1.0)
 }
 
 /// Everything a worker needs to execute one job, bundled so the

@@ -10,7 +10,7 @@
 use std::collections::HashSet;
 
 use hopspan::core::FaultTolerantSpanner;
-use hopspan::metric::{gen, Metric};
+use hopspan::metric::{gen, path_weight, Metric};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -41,9 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("relays 7 and 23 down; route 0 → 59: {path:?}");
     println!(
         "weight {:.4} vs direct {:.4}",
-        path.windows(2)
-            .map(|w| relays.dist(w[0], w[1]))
-            .sum::<f64>(),
+        path_weight(&relays, &path),
         relays.dist(0, 59)
     );
     Ok(())

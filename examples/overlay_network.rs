@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example overlay_network`
 
-use hopspan::metric::{gen, Metric};
+use hopspan::metric::{gen, path_weight, Metric};
 use hopspan::routing::MetricRoutingScheme;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             assert_eq!(*trace.path.last().unwrap(), v, "misdelivered packet");
             max_hops = max_hops.max(trace.hops());
             max_decisions = max_decisions.max(trace.decision_steps);
-            let w: f64 = trace.path.windows(2).map(|x| peers.dist(x[0], x[1])).sum();
+            let w = path_weight(&peers, &trace.path);
             let d = peers.dist(u, v);
             if d > 0.0 {
                 worst = worst.max(w / d);

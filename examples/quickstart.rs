@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use hopspan::core::MetricNavigator;
-use hopspan::metric::{gen, Metric};
+use hopspan::metric::{gen, path_weight, Metric};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 continue;
             }
             let path = nav.find_path(u, v)?;
-            let w = MetricNavigator::path_weight(&points, &path);
+            let w = path_weight(&points, &path);
             let d = points.dist(u, v);
             if d > 0.0 {
                 worst = worst.max(w / d);
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         n - 1,
         path,
         path.len() - 1,
-        MetricNavigator::path_weight(&points, &path),
+        path_weight(&points, &path),
         points.dist(0, n - 1),
     );
     Ok(())

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example railway_routing`
 
 use hopspan::core::MetricNavigator;
-use hopspan::metric::{gen, Metric};
+use hopspan::metric::{gen, path_weight, Metric};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
                 let path = nav.find_path(u, v)?;
                 assert!(path.len() - 1 <= k, "planner exceeded {k} switches");
-                let w = MetricNavigator::path_weight(&stations, &path);
+                let w = path_weight(&stations, &path);
                 let d = stations.dist(u, v);
                 if d > 0.0 {
                     worst = worst.max(w / d);
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "distance travelled {:.4} vs straight line {:.4}",
-        MetricNavigator::path_weight(&stations, &journey),
+        path_weight(&stations, &journey),
         stations.dist(from, to),
     );
     Ok(())

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use hopspan::core::MetricNavigator;
-use hopspan::metric::{gen, EuclideanSpace, Metric};
+use hopspan::metric::{gen, path_weight, EuclideanSpace, Metric};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -179,7 +179,7 @@ fn query(opts: &Options) -> Result<String, String> {
     }
     let nav = navigator(opts, &pts)?;
     let path = nav.find_path(from, to).map_err(|e| e.to_string())?;
-    let weight = MetricNavigator::path_weight(&pts, &path);
+    let weight = path_weight(&pts, &path);
     Ok(format!(
         "path: {path:?}\nhops: {} (k = {})\nweight: {weight:.6}\ndirect: {:.6}\nstretch: {:.4}\n",
         path.len() - 1,
@@ -208,7 +208,7 @@ fn stats(opts: &Options) -> Result<String, String> {
         let path = nav.find_path(u, v).map_err(|e| e.to_string())?;
         let d = pts.dist(u, v);
         if d > 0.0 {
-            worst = worst.max(MetricNavigator::path_weight(&pts, &path) / d);
+            worst = worst.max(path_weight(&pts, &path) / d);
         }
     }
     Ok(format!(

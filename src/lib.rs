@@ -32,7 +32,7 @@
 //!
 //! ```
 //! use hopspan::core::MetricNavigator;
-//! use hopspan::metric::{gen, Metric};
+//! use hopspan::metric::{gen, path_weight, Metric};
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,7 +44,7 @@
 //! let path = nav.find_path(5, 40)?;
 //! assert!(path.len() - 1 <= 2);
 //!
-//! let weight = MetricNavigator::path_weight(&points, &path);
+//! let weight = path_weight(&points, &path);
 //! assert!(weight < 2.0 * points.dist(5, 40));
 //! # Ok(())
 //! # }

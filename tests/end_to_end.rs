@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use hopspan::apps::{approximate_mst, approximate_spt, sparsify, MstVerifier, TreeProduct};
 use hopspan::baselines::{greedy_spanner, DijkstraNavigator};
 use hopspan::core::{FaultTolerantSpanner, MetricNavigator};
-use hopspan::metric::{gen, mst_weight, spanner_max_stretch, GraphMetric, Metric};
+use hopspan::metric::{gen, mst_weight, path_weight, spanner_max_stretch, GraphMetric, Metric};
 use hopspan::routing::{FtMetricRoutingScheme, MetricRoutingScheme, TreeRoutingScheme};
 use hopspan::treealg::RootedTree;
 use rand::seq::SliceRandom;
@@ -29,10 +29,10 @@ fn doubling_pipeline_with_baseline_cross_check() {
             for v in (u + 1)..48 {
                 let p = nav.find_path(u, v).unwrap();
                 assert!(p.len() - 1 <= k);
-                let w_nav = MetricNavigator::path_weight(&m, &p);
+                let w_nav = path_weight(&m, &p);
                 // The baseline's min-weight path cannot be heavier.
                 let p_dij = dij.find_path(u, v).expect("spanner connected");
-                let w_dij = DijkstraNavigator::path_weight(&m, &p_dij);
+                let w_dij = path_weight(&m, &p_dij);
                 assert!(w_dij <= w_nav * (1.0 + 1e-9));
                 // And the navigated path is within the cover stretch of it.
                 assert!(w_nav <= 2.0 * m.dist(u, v), "stretch blow-up");

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use hopspan::apps::TreeProduct;
 use hopspan::core::ackermann::{ack_a, ack_b, alpha, alpha_prime};
 use hopspan::core::{FaultTolerantSpanner, MetricNavigator};
-use hopspan::metric::{EuclideanSpace, Metric};
+use hopspan::metric::{path_weight, EuclideanSpace, Metric};
 use hopspan::routing::TreeRoutingScheme;
 use hopspan::tree_cover::RobustTreeCover;
 use hopspan::tree_spanner::TreeHopSpanner;
@@ -97,7 +97,7 @@ proptest! {
             let path = nav.find_path(u, v).unwrap();
             prop_assert!(!path.is_empty());
             prop_assert!(path.len() - 1 <= k);
-            let w = MetricNavigator::path_weight(&m, &path);
+            let w = path_weight(&m, &path);
             prop_assert!(w <= 3.0 * m.dist(u, v) + 1e-9);
         }
     }

@@ -2,6 +2,9 @@
 //! all-pairs concatenated `find_path` output on three fixed-seed
 //! workloads, mirroring `tests/determinism.rs`, plus a fourth over the
 //! fault-tolerant spanner's policy-aware `find_path_avoiding` outcomes.
+//! A second test pins the compact routing schemes the same way: every
+//! ordered pair's trace (path, decision steps, header bits), the scheme's
+//! bit statistics and its network's port → target table.
 //! Workloads 1 and 4 also pin the edge lists the queries run over
 //! (endpoints and weight bits), so a change to how construction merges
 //! or deduplicates edges shows even where every answer is unchanged.
@@ -21,8 +24,13 @@
 
 use std::collections::HashSet;
 
-use hopspan::core::{DegradationPolicy, FaultTolerantSpanner, FtPath, MetricNavigator};
-use hopspan::metric::gen;
+use hopspan::core::{
+    DegradationPolicy, FaultTolerantSpanner, FtPath, FtPathOutcome, MetricNavigator,
+};
+use hopspan::metric::{gen, GraphMetric};
+use hopspan::routing::{
+    FtMetricRoutingScheme, MetricRoutingScheme, Network, RouteTrace, SchemeStats,
+};
 use hopspan::store::fnv1a;
 use hopspan::tree_spanner::TreeHopSpanner;
 use hopspan::treealg::RootedTree;
@@ -43,12 +51,45 @@ const GOLDEN_TREE_EDGES: u64 = 0xda9a_65d9_e892_3648;
 /// Hash of workload 4's `FaultTolerantSpanner::edges()`.
 const GOLDEN_FT_EDGES: u64 = 0x7745_7e57_e5f8_fb7a;
 
+/// Hash of the doubling routing workload, pinned before the plain and
+/// fault-tolerant routing builders were merged into one.
+const GOLDEN_ROUTE_DOUBLING: u64 = 0xfa5d_8f91_6981_4554;
+/// Hash of the general (Ramsey, home-tree) routing workload.
+const GOLDEN_ROUTE_GENERAL: u64 = 0xda1f_5e38_345b_ed3d;
+/// Hash of the planar routing workload.
+const GOLDEN_ROUTE_PLANAR: u64 = 0x66ec_0417_efa3_c193;
+/// Hash of the fault-tolerant routing workload (f = 1, both policies).
+const GOLDEN_ROUTE_FT: u64 = 0x27da_bb91_603c_aba3;
+
 fn push_path(out: &mut String, u: usize, v: usize, path: &[usize]) {
     out.push_str(&format!("{u} {v}:"));
     for &p in path {
         out.push_str(&format!(" {p}"));
     }
     out.push('\n');
+}
+
+fn push_trace(out: &mut String, u: usize, v: usize, trace: &RouteTrace) {
+    out.push_str(&format!(
+        "s{} h{} ",
+        trace.decision_steps, trace.max_header_bits
+    ));
+    push_path(out, u, v, &trace.path);
+}
+
+/// A scheme's bit statistics and its network's port → target table.
+fn push_scheme(out: &mut String, stats: SchemeStats, net: &Network) {
+    out.push_str(&format!(
+        "label {} table {} header {}\n",
+        stats.max_label_bits, stats.max_table_bits, stats.header_bits
+    ));
+    for v in 0..net.len() {
+        out.push_str(&format!("{v}:"));
+        for p in 0..net.degree(v) {
+            out.push_str(&format!(" {}", net.target(v, p)));
+        }
+        out.push('\n');
+    }
 }
 
 fn push_edges(out: &mut String, edges: &[(usize, usize, f64)]) {
@@ -178,6 +219,84 @@ fn hash_ft_workload() -> (u64, u64) {
     (fnv1a(out.as_bytes()), fnv1a(edges.as_bytes()))
 }
 
+/// Every ordered pair's trace under `route`, after the scheme's
+/// statistics and port table.
+fn hash_routing(rs: &MetricRoutingScheme, n: usize) -> u64 {
+    let mut out = String::new();
+    push_scheme(&mut out, rs.stats(), rs.network());
+    for u in 0..n {
+        for v in 0..n {
+            let trace = rs.route(u, v).expect("routing covers all pairs");
+            push_trace(&mut out, u, v, &trace);
+        }
+    }
+    fnv1a(out.as_bytes())
+}
+
+/// Routing workloads: the doubling scheme over uniform points
+/// (min-distance-label selection), the general scheme over a graph
+/// metric (home-tree selection) and the planar scheme over a grid.
+fn hash_routing_workloads() -> [u64; 3] {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0D0B_1E05);
+    let m = gen::uniform_points(32, 2, &mut rng);
+    let doubling = MetricRoutingScheme::doubling(&m, 0.5, &mut rng).expect("doubling scheme");
+    let mut rng = ChaCha8Rng::seed_from_u64(0x6E4E_7A15);
+    let gm = gen::random_graph_metric(40, 17, &mut rng);
+    let general = MetricRoutingScheme::general(&gm, 2, &mut rng).expect("general scheme");
+    let mut rng = ChaCha8Rng::seed_from_u64(0x91A4_A125);
+    let g = gen::grid_graph(5, 5);
+    let pm = GraphMetric::new(&g).expect("grid metric");
+    let planar = MetricRoutingScheme::planar(&g, &pm, 0.5, &mut rng).expect("planar scheme");
+    [
+        hash_routing(&doubling, 32),
+        hash_routing(&general, 40),
+        hash_routing(&planar, 25),
+    ]
+}
+
+/// Fault-tolerant routing workload: statistics, port table and every
+/// ordered pair's `route_avoiding_with_policy` outcome (f = 1) under an
+/// in-budget and an over-budget fault set, under both policies.
+fn hash_ft_routing_workload() -> u64 {
+    let n = 24;
+    let mut rng = ChaCha8Rng::seed_from_u64(0xF7_7057);
+    let m = gen::uniform_points(n, 2, &mut rng);
+    let rs = FtMetricRoutingScheme::new(&m, 0.5, 1, &mut rng).expect("FT routing scheme");
+    let mut out = String::new();
+    push_scheme(&mut out, rs.stats(), rs.network());
+    for faults in [&[5usize][..], &[5, 17]] {
+        let faulty: HashSet<usize> = faults.iter().copied().collect();
+        for policy in [DegradationPolicy::Strict, DegradationPolicy::BestEffort] {
+            out.push_str(&format!("faults={faults:?} policy={policy:?}\n"));
+            for u in 0..n {
+                for v in 0..n {
+                    match rs.route_avoiding_with_policy(&m, u, v, &faulty, policy) {
+                        Ok((trace, FtPathOutcome::Full)) => {
+                            out.push('F');
+                            push_trace(&mut out, u, v, &trace);
+                        }
+                        Ok((
+                            trace,
+                            FtPathOutcome::Degraded {
+                                reason,
+                                achieved_stretch,
+                            },
+                        )) => {
+                            out.push_str(&format!(
+                                "D {reason:?} {:016x} ",
+                                achieved_stretch.to_bits()
+                            ));
+                            push_trace(&mut out, u, v, &trace);
+                        }
+                        Err(e) => out.push_str(&format!("E {u} {v}: {e}\n")),
+                    }
+                }
+            }
+        }
+    }
+    fnv1a(out.as_bytes())
+}
+
 #[test]
 fn all_pairs_paths_match_pre_refactor_hashes() {
     let (tree, tree_edges) = hash_tree_workload();
@@ -223,4 +342,28 @@ fn all_pairs_paths_match_pre_refactor_hashes() {
         "fault-tolerant workload edge list drifted from the golden hash \
          (got 0x{ft_edges:016x})"
     );
+}
+
+#[test]
+fn routing_traces_match_golden_hashes() {
+    let [doubling, general, planar] = hash_routing_workloads();
+    let ft = hash_ft_routing_workload();
+    if std::env::var("HOPSPAN_GOLDEN_PRINT").is_ok() {
+        println!("const GOLDEN_ROUTE_DOUBLING: u64 = 0x{doubling:016x};");
+        println!("const GOLDEN_ROUTE_GENERAL: u64 = 0x{general:016x};");
+        println!("const GOLDEN_ROUTE_PLANAR: u64 = 0x{planar:016x};");
+        println!("const GOLDEN_ROUTE_FT: u64 = 0x{ft:016x};");
+        return;
+    }
+    for (name, got, want) in [
+        ("doubling", doubling, GOLDEN_ROUTE_DOUBLING),
+        ("general", general, GOLDEN_ROUTE_GENERAL),
+        ("planar", planar, GOLDEN_ROUTE_PLANAR),
+        ("fault-tolerant", ft, GOLDEN_ROUTE_FT),
+    ] {
+        assert_eq!(
+            got, want,
+            "{name} routing traces drifted from the golden hash (got 0x{got:016x})"
+        );
+    }
 }
