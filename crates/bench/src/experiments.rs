@@ -1878,9 +1878,10 @@ pub fn e23_chaos() -> String {
         "chaos campaign ran {} scenarios (floor 200)",
         report.scenarios.len()
     );
-    // Contract violations stay unasserted until the flaky scenario 76/77
-    // (`Full` in one release run, `Violation` in the next; ROADMAP
-    // item 4) is made replayable, or this check would flap in CI.
+    assert!(
+        violations.is_empty(),
+        "chaos campaign produced contract violations: {violations:?}"
+    );
     format!(
         "Chaos campaign over the full query stack, seeded and \
          bit-replayable: {} scenarios, {} escaped panics, {} contract \
@@ -2694,8 +2695,8 @@ fn e26_cell(points: &hopspan_metric::EuclideanSpace, cfg: &E26Cfg, down: usize) 
 }
 
 /// The self-healing round trip, timed: an injected worker panic
-/// quarantines the (snapshot-booted, witness-armed) shard and the
-/// supervisor rebuilds it from disk and re-admits it through a probe.
+/// quarantines the shard, and the supervisor re-attaches the shared
+/// backend once its `FindPath`, `Route` and `RouteAvoiding` probes pass.
 struct E26Recovery {
     recovery_ms: f64,
     respawns: u64,
@@ -2704,29 +2705,16 @@ struct E26Recovery {
 }
 
 fn e26_recovery(points: &hopspan_metric::EuclideanSpace) -> E26Recovery {
-    let path = std::env::temp_dir().join(format!("hopspan-e26-{}.hsnp", std::process::id()));
-    let seed_engine = ShardedNavigator::replicated(
+    let engine = ShardedNavigator::replicated(
         points,
         &BackendParams::default(),
-        ServeConfig {
-            shards: 1,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("seed engine starts");
-    seed_engine.set_snapshot_path(&path);
-    seed_engine.write_snapshot().expect("snapshot writes");
-    drop(seed_engine);
-
-    let engine = ShardedNavigator::replicated_from_snapshot(
-        &path,
         ServeConfig {
             shards: 1,
             chaos_panic_period: Some(4),
             ..ServeConfig::default()
         },
     )
-    .expect("snapshot boot");
+    .expect("replicated engine starts");
     let n = points.len() as u32;
     let mut out = Vec::new();
     let mut started = None;
@@ -2750,12 +2738,10 @@ fn e26_recovery(points: &hopspan_metric::EuclideanSpace) -> E26Recovery {
             readmitted = true;
             break;
         }
-        std::thread::sleep(Duration::from_millis(2));
+        std::thread::sleep(Duration::from_micros(50));
     }
     let recovery = started.elapsed();
     let snap = engine.snapshot();
-    drop(engine);
-    let _ = std::fs::remove_file(&path);
     E26Recovery {
         recovery_ms: recovery.as_secs_f64() * 1e3,
         respawns: snap.respawns,
@@ -2813,8 +2799,8 @@ fn e26_json(
 /// E26: the self-healing serve layer under scripted shard outages.
 /// Availability and p99 with {0, 1, 2} of 4 replicated shards `Down`
 /// (failover must answer everything in full contract), the timed
-/// quarantine→respawn→re-admission round trip from an `HSNP`
-/// snapshot, and an outage-only chaos campaign
+/// quarantine→capability probe→re-admission round trip, and an
+/// outage-only chaos campaign
 /// (kill/slow/flapping/corrupt-respawn) that must finish with zero
 /// escaped panics and zero contract violations. Writes
 /// `BENCH_resilience.json` (see [`report::write_bench`]).
@@ -2922,12 +2908,15 @@ pub fn e26_resilience() -> String {
          (availability {:.4} and {:.4}; ≥ 0.99 required at 1/4), and \
          restoring health hands ownership straight back. The timed \
          self-healing round trip — injected worker panic, quarantine, \
-         supervisor rebuild from the `HSNP` snapshot behind the \
-         boot-fidelity witness, probe, re-admission — took {:.1} ms. \
-         The outage-only chaos campaign ({} scenarios: kill-shard, \
-         slow-shard, flapping, corrupt-respawn) finished with {} \
-         escaped panics and {} contract violations; a corrupt snapshot \
-         was never re-admitted. {json_note}\n\n{cell_table}\n{tag_table}\n",
+         supervisor probes of `FindPath`, `Route` and `RouteAvoiding` \
+         on the shared backend, re-admission — took {:.1} ms; nothing \
+         is rebuilt or read from disk. The outage-only chaos campaign \
+         ({} scenarios: kill-shard, slow-shard, flapping, \
+         corrupt-respawn) finished with {} escaped panics and {} \
+         contract violations; a snapshot damaged after boot was refused \
+         typed by `LoadSnapshot`, and respawn re-admitted the shard \
+         from memory with unchanged answers. \
+         {json_note}\n\n{cell_table}\n{tag_table}\n",
         cells[1].availability,
         cells[2].availability,
         recovery.recovery_ms,

@@ -760,7 +760,8 @@ fn corrupt_scenario(
 }
 
 /// Shard-outage scenarios against live replicated engines: scripted
-/// kills, wedged-slow shards, flapping and corrupt-snapshot respawns.
+/// kills, wedged-slow shards, flapping and respawns after the boot
+/// snapshot was damaged.
 /// Outage scenarios never produce `Degraded` outcomes (failover
 /// answers in full contract; refusals are typed), so the golden
 /// degraded hash is invariant to this family.

@@ -15,7 +15,7 @@
 //! degraded hash is invariant to it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use hopspan_core::{MetricNavigator, NavigationError};
 use hopspan_dynamic::{DynConfig, DynError, DynamicNavigator};
@@ -146,10 +146,17 @@ fn mutate_race_probe(
     );
     let n = points.len() as u32;
     let stop = Arc::new(AtomicBool::new(false));
+    // Each reader drops its `first` sender after its first answer, so
+    // the storm waits until every reader has answered once (or died,
+    // which drops the sender too and cannot hang the gate). Without
+    // the gate, storm and flush can finish before a reader is
+    // scheduled on a small machine, which reads as starvation.
+    let (first, gate) = mpsc::channel::<()>();
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
             let nav = Arc::clone(&nav);
             let stop = Arc::clone(&stop);
+            let mut first = Some(first.clone());
             std::thread::spawn(move || {
                 let mut out = Vec::new();
                 let mut answered = 0u64;
@@ -163,11 +170,17 @@ fn mutate_race_probe(
                         Err(NavigationError::PointRetired { .. }) => {}
                         Err(e) => panic!("escaped query error during churn: {e}"),
                     }
+                    if answered > 0 {
+                        first.take();
+                    }
                 }
                 answered
             })
         })
         .collect();
+    drop(first);
+    // Returns once every sender is gone; nothing is ever sent.
+    let _all_answered = gate.recv();
 
     // The scripted storm: deterministic in the scenario rng, so the
     // accepted insert/remove counts (and hence the detail) replay.

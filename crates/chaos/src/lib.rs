@@ -27,10 +27,11 @@
 //!   at the `hopspan-store` loader; every one must be rejected with a
 //!   typed [`hopspan_store::StoreError`], never a panic.
 //! * **Shard outages** ([`OutageKind`]): scripted shard kills, wedged
-//!   slow shards, health flapping and corrupt-snapshot respawn attempts
-//!   against live replicated engines; replicated traffic must fail over
-//!   in full contract, demotions must be automatic, and a corrupt
-//!   snapshot must never be re-admitted.
+//!   slow shards, health flapping and panics after the boot snapshot
+//!   was damaged, against live replicated engines; replicated traffic
+//!   must fail over in full contract, demotions must be automatic, the
+//!   damaged file must be refused typed, and respawn must re-admit the
+//!   shard from memory with unchanged answers.
 //! * **Mutation churn** ([`ChurnKind`]): scripted insert/remove storms
 //!   against live `hopspan-dynamic` navigators — queries racing
 //!   mutations, rebuilds killed mid-build, back-to-back epoch swaps,

@@ -1,10 +1,11 @@
 //! Shard-outage scenarios against a live `hopspan-serve` engine: the
 //! resilience layer's chaos family. Each scenario scripts a failure —
-//! a killed shard, a wedged-slow shard, a flapping shard, a respawn
-//! from a corrupted snapshot — and demands that the engine keeps
-//! answering **typed**: full answers through replica failover while a
-//! shard is down, never an escaped panic, never a hang, and never a
-//! re-admission of a backend that failed its boot-fidelity witness.
+//! a killed shard, a wedged-slow shard, a flapping shard, a panic
+//! after the boot snapshot was damaged on disk — and demands that the
+//! engine keeps answering **typed**: full answers through replica
+//! failover while a shard is down, never an escaped panic, never a
+//! hang, and a respawn that re-attaches the in-memory backend with
+//! unchanged answers instead of reading the damaged file.
 //!
 //! Detail strings are deterministic (counts and scripted parameters
 //! only, never timings), so outage scenarios participate in the
@@ -39,9 +40,10 @@ pub enum OutageKind {
     /// A shard flaps `Down`/`Healthy` across rounds; every round must
     /// answer everything, and recovery must restore ownership.
     Flapping,
-    /// A quarantined shard's respawn snapshot is corrupted on disk;
-    /// the witness check must refuse re-admission and the service must
-    /// survive on the remaining replicas.
+    /// The boot snapshot is damaged on disk, then a panic quarantines
+    /// a shard: `LoadSnapshot` must refuse the file typed, and the
+    /// respawn must re-admit the shard from memory with its answers
+    /// unchanged.
     CorruptRespawn,
 }
 
@@ -283,22 +285,33 @@ fn flapping_probe(
     ))
 }
 
-/// Corrupt-respawn: quarantine a shard by injected panic after its
-/// boot snapshot has been damaged on disk. The `hx_hash` witness must
-/// refuse re-admission (respawns stays 0, the shard stays `Down`) and
-/// the remaining replica must keep the service answering.
+/// Corrupt-respawn: damage the boot snapshot on disk, then quarantine
+/// a shard by injected panic. `load_snapshot_verify` must refuse the
+/// file typed, while the respawn — which never reads it — re-admits the
+/// shard with the answers recorded before the damage.
 fn corrupt_respawn_probe(
     points: &hopspan_metric::EuclideanSpace,
     seed: u64,
     rng: &mut Pcg32,
 ) -> Result<(OutcomeKind, String), String> {
-    let n = points.len();
-    let period = 3 + rng.gen_range(0..3u64);
     let path = std::env::temp_dir().join(format!(
         "hopspan-chaos-outage-{}-{:016x}.hsnp",
         std::process::id(),
         rng.gen_range(0..u64::MAX)
     ));
+    let result = corrupt_respawn_at(points, seed, rng, &path);
+    let _cleanup = std::fs::remove_file(&path);
+    result
+}
+
+fn corrupt_respawn_at(
+    points: &hopspan_metric::EuclideanSpace,
+    seed: u64,
+    rng: &mut Pcg32,
+    path: &std::path::Path,
+) -> Result<(OutcomeKind, String), String> {
+    let n = points.len() as u64;
+    let period = 3 + rng.gen_range(0..3u64);
     // Write a pristine snapshot from a seed engine, then boot from it.
     let seed_engine = engine(
         points,
@@ -308,13 +321,13 @@ fn corrupt_respawn_probe(
             ..ServeConfig::default()
         },
     )?;
-    seed_engine.set_snapshot_path(&path);
+    seed_engine.set_snapshot_path(path);
     seed_engine
         .write_snapshot()
         .map_err(|e| format!("corrupt-respawn: snapshot write failed: {e}"))?;
     drop(seed_engine);
     let eng = ShardedNavigator::replicated_from_snapshot(
-        &path,
+        path,
         ServeConfig {
             shards: 2,
             chaos_panic_period: Some(period),
@@ -323,75 +336,72 @@ fn corrupt_respawn_probe(
     )
     .map_err(|e| format!("corrupt-respawn: snapshot boot failed: {e}"))?;
 
-    // Damage the file *after* boot: the next quarantine's respawn
-    // must fail the witness check.
+    // Jobs 1..period run clear of the injection: record their answers.
+    let sweep = |eng: &ShardedNavigator| -> Result<Vec<Vec<usize>>, String> {
+        let mut out = Vec::new();
+        (0..period - 1)
+            .map(|i| {
+                let u = (i % n) as u32;
+                let v = ((i + 3) % n) as u32;
+                match eng.call(Op::FindPath { u, v }, &mut out) {
+                    Ok(QueryOutcome::Full) => Ok(out.clone()),
+                    other => Err(format!(
+                        "corrupt-respawn: sweep query {i} answered {other:?}"
+                    )),
+                }
+            })
+            .collect()
+    };
+    let before = sweep(&eng)?;
+
+    // Damage the file *after* boot: the snapshot opcode must refuse
+    // it typed.
     let mut bytes =
-        std::fs::read(&path).map_err(|e| format!("corrupt-respawn: re-read failed: {e}"))?;
+        std::fs::read(path).map_err(|e| format!("corrupt-respawn: re-read failed: {e}"))?;
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
-    std::fs::write(&path, &bytes)
+    std::fs::write(path, &bytes)
         .map_err(|e| format!("corrupt-respawn: corrupt write failed: {e}"))?;
+    if eng.load_snapshot_verify() != Err(ServeError::Internal) {
+        return Err("corrupt-respawn: LoadSnapshot accepted a damaged file".to_string());
+    }
 
+    // Jobs period..=3·period: exactly three injected panics.
     let mut out = Vec::new();
     let mut panicked = 0u64;
-    for i in 0..4 * period {
-        let u = (i % n as u64) as u32;
-        let v = ((u as u64 + 9) % n as u64) as u32;
+    for i in 0..2 * period + 1 {
+        let u = (i % n) as u32;
+        let v = ((i + 9) % n) as u32;
         match eng.call(Op::FindPath { u, v }, &mut out) {
             Ok(QueryOutcome::Full) => {}
             Err(ServeError::WorkerPanicked) => panicked += 1,
-            other => {
-                let _cleanup = std::fs::remove_file(&path);
-                return Err(format!("corrupt-respawn: query {i} answered {other:?}"));
-            }
+            other => return Err(format!("corrupt-respawn: query {i} answered {other:?}")),
         }
     }
-    if panicked == 0 {
-        let _cleanup = std::fs::remove_file(&path);
-        return Err("corrupt-respawn: the injected panic never fired".to_string());
+    if panicked != 3 {
+        return Err(format!(
+            "corrupt-respawn: expected 3 injected panics, saw {panicked}"
+        ));
     }
     let deadline = Instant::now() + PROBE_TIMEOUT;
-    while eng.snapshot().shard_down_events == 0 {
+    while eng.snapshot().respawns == 0 || (0..2).any(|s| eng.health(s) != ShardHealth::Healthy) {
         if Instant::now() > deadline {
-            let _cleanup = std::fs::remove_file(&path);
-            return Err("corrupt-respawn: the panic never quarantined its shard".to_string());
+            return Err("corrupt-respawn: a quarantined shard was never re-admitted".to_string());
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    // Give the supervisor a beat to attempt (and refuse) the respawn.
-    std::thread::sleep(Duration::from_millis(50));
-    let snap = eng.snapshot();
-    if snap.respawns != 0 {
-        let _cleanup = std::fs::remove_file(&path);
-        return Err(format!(
-            "corrupt-respawn: {} respawn(s) re-admitted a corrupt snapshot",
-            snap.respawns
-        ));
+    // Jobs 3·period+1..4·period: clear of the injection again.
+    if sweep(&eng)? != before {
+        return Err("corrupt-respawn: answers changed across the respawn".to_string());
     }
-    if (0..2).all(|s| eng.health(s) != ShardHealth::Down) {
-        let _cleanup = std::fs::remove_file(&path);
-        return Err("corrupt-respawn: no shard is Down after quarantine".to_string());
+    if eng.load_snapshot_verify() != Err(ServeError::Internal) {
+        return Err("corrupt-respawn: LoadSnapshot accepted the damaged file later".to_string());
     }
-    // The service survives on the remaining replica.
-    for i in 0..8u64 {
-        let u = (i % n as u64) as u32;
-        match eng.call(
-            Op::FindPath {
-                u,
-                v: (u + 3) % n as u32,
-            },
-            &mut out,
-        ) {
-            Ok(QueryOutcome::Full) | Err(ServeError::WorkerPanicked) => {}
-            other => {
-                let _cleanup = std::fs::remove_file(&path);
-                return Err(format!("corrupt-respawn: survivor answered {other:?}"));
-            }
-        }
-    }
-    let _cleanup = std::fs::remove_file(&path);
     Ok((
         OutcomeKind::TypedError,
-        format!("period={period}: corrupt snapshot refused, shard stayed down, service alive"),
+        format!(
+            "period={period}: damaged snapshot refused typed; {panicked} panics, \
+             re-admitted from memory with unchanged answers"
+        ),
     ))
 }

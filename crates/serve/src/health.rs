@@ -1,7 +1,8 @@
 //! Per-shard health tracking: a lock-free `Healthy → Suspect → Down`
 //! state machine driven by consecutive health-relevant failures
-//! (worker panics, internal errors, deadline overruns) and healed by
-//! consecutive successes or a supervisor respawn.
+//! (internal errors, deadline overruns) or an immediate quarantine
+//! (worker panics), and healed by consecutive successes or a
+//! supervisor respawn.
 //!
 //! All transitions go through relaxed atomics — the query path reads
 //! health with a single `AtomicU8` load and never takes a lock, so
@@ -79,8 +80,8 @@ impl HealthCell {
         self.state.store(next.code(), Ordering::Relaxed);
     }
 
-    /// Records a health-relevant failure (panic, internal error, or
-    /// deadline overrun). Returns the new state if this observation
+    /// Records a health-relevant failure (internal error or deadline
+    /// overrun). Returns the new state if this observation
     /// demoted the shard, `None` if the state is unchanged.
     pub fn record_failure(&self) -> Option<ShardHealth> {
         let streak = self.fail_streak.fetch_add(1, Ordering::Relaxed) + 1;
@@ -118,9 +119,10 @@ impl HealthCell {
         Some(next)
     }
 
-    /// Immediate quarantine (caught worker panic with a respawn
-    /// snapshot configured). Returns `true` if the shard was not
-    /// already `Down`.
+    /// Immediate quarantine: the reaction to a caught worker panic in
+    /// every engine, before the supervisor probes the shard for
+    /// re-admission. Returns `true` if the shard was not already
+    /// `Down`.
     pub fn quarantine(&self) -> bool {
         let was = self.state.swap(ShardHealth::Down.code(), Ordering::Relaxed);
         self.fail_streak.store(0, Ordering::Relaxed);

@@ -99,7 +99,8 @@ pub struct ServeMetrics {
     pub retries: AtomicU64,
     /// Transitions of any shard into the `Down` state.
     pub shard_down_events: AtomicU64,
-    /// Shards rebuilt from snapshot and re-admitted by the supervisor.
+    /// Quarantined shards the supervisor re-admitted after every
+    /// capability probe of the shared backend passed.
     pub respawns: AtomicU64,
     /// Packed per-shard health bytes: shard `i` (for `i < 8`) occupies
     /// byte `i` as [`crate::ShardHealth::code`]; shards beyond the
@@ -225,7 +226,8 @@ pub struct MetricsSnapshot {
     pub retries: u64,
     /// Transitions of any shard into the `Down` state.
     pub shard_down_events: u64,
-    /// Shards rebuilt from snapshot and re-admitted by the supervisor.
+    /// Quarantined shards the supervisor re-admitted after every
+    /// capability probe of the shared backend passed.
     pub respawns: u64,
     /// Packed per-shard health bytes (shard `i < 8` in byte `i`).
     pub shard_health: u64,

@@ -37,10 +37,18 @@
 //! load — requests owned by a `Down` shard fail over to a live replica
 //! via a second deterministic FNV hash ([`ShardedNavigator::dispatch_for`]).
 //! A `WorkerPanicked` answer reaches the caller typed and is never
-//! retried. A panicked shard with a configured snapshot is quarantined
-//! and handed to a supervisor thread, which rebuilds it from the `HSNP`
-//! file, checks the `hx_hash` boot-fidelity witness, and re-admits it
-//! through `Suspect` after a probe query.
+//! retried.
+//!
+//! Every shard serves the engine's one immutable [`Backend`], which a
+//! panic in safe Rust cannot corrupt, so recovery has nothing to
+//! rebuild and one rule covers every engine: a caught panic quarantines
+//! its shard at once and queues it for a supervisor thread. The
+//! supervisor moves the shard to `Suspect` and probes every capability
+//! the backend has — `FindPath`, plus `Route` with a router and
+//! `RouteAvoiding` (empty fault set) with an FT spanner — each under
+//! `catch_unwind`. If all pass, the shard is `Healthy` again with the
+//! same capabilities and answers it had; otherwise it stays `Down`.
+//! Internal errors and deadline overruns demote by streak instead.
 
 use std::collections::HashSet;
 use std::mem;
@@ -220,6 +228,31 @@ impl Backend {
             router: None,
             ft: None,
         }
+    }
+
+    /// The capability probes a respawned shard must pass: `FindPath`
+    /// (between two published ids on a dynamic engine), plus `Route`
+    /// when a router is built and `RouteAvoiding` with an empty fault
+    /// set when an FT spanner is.
+    fn probes(&self) -> Vec<Op> {
+        let (u, v) = match &self.engine {
+            Engine::Static(_) if self.is_empty() => return Vec::new(),
+            Engine::Static(_) => (0, u32::from(self.len() >= 2)),
+            Engine::Dynamic(nav) => match nav.published_ids()[..] {
+                [] => return Vec::new(),
+                [u] => (u, u),
+                [u, v, ..] => (u, v),
+            },
+        };
+        let mut ops = vec![Op::FindPath { u, v }];
+        if self.router.is_some() {
+            ops.push(Op::Route { u, v });
+        }
+        if self.ft.is_some() {
+            let faults = crate::FaultSet::empty();
+            ops.push(Op::RouteAvoiding { u, v, faults });
+        }
+        ops
     }
 
     /// The immutable navigator, when this backend is static.
@@ -467,11 +500,6 @@ impl Slot {
 struct ShardInner {
     /// This shard's index in the engine's shard table.
     index: u32,
-    /// The query structures. Behind a mutex only so the respawn
-    /// supervisor can swap in a freshly decoded backend; workers take
-    /// one `Arc` clone per batch flush, never per job, and submitters
-    /// never touch it.
-    backend: Mutex<Arc<Backend>>,
     queue: BatchQueue,
     slots: Vec<Slot>,
     free: Mutex<Vec<u32>>,
@@ -480,9 +508,25 @@ struct ShardInner {
 }
 
 impl ShardInner {
-    /// The current backend handle (one lock + `Arc` clone; no alloc).
-    fn backend_arc(&self) -> Arc<Backend> {
-        Arc::clone(&lock_resilient(&self.backend))
+    fn new(index: usize, queue_depth: usize) -> Self {
+        ShardInner {
+            index: index as u32,
+            queue: BatchQueue::bounded(queue_depth),
+            slots: (0..queue_depth).map(|_| Slot::new()).collect(),
+            free: Mutex::new((0..queue_depth as u32).rev().collect()),
+            health: HealthCell::default(),
+        }
+    }
+
+    /// Forces this shard to `state` and publishes it to the metrics
+    /// health word; a transition into `Down` counts as a down event.
+    fn publish_health(&self, metrics: &ServeMetrics, state: ShardHealth) {
+        let was = self.health.get();
+        self.health.set(state);
+        metrics.set_health_byte(self.index as usize, state.code());
+        if state == ShardHealth::Down && was != ShardHealth::Down {
+            ServeMetrics::bump(&metrics.shard_down_events);
+        }
     }
 }
 
@@ -583,6 +627,8 @@ impl std::error::Error for BuildError {
 /// workers.
 #[derive(Debug)]
 pub struct ShardedNavigator {
+    /// The one immutable backend every shard serves.
+    backend: Arc<Backend>,
     shards: Vec<Arc<ShardInner>>,
     metrics: Arc<ServeMetrics>,
     cfg: ServeConfig,
@@ -590,23 +636,17 @@ pub struct ShardedNavigator {
     /// State shared with the respawn supervisor thread.
     sup: Arc<SupervisorShared>,
     supervisor: Option<JoinHandle<()>>,
+    /// The file the `Snapshot`/`LoadSnapshot` opcodes operate on.
+    snapshot_path: Mutex<Option<PathBuf>>,
 }
 
 /// State shared between the engine, its workers and the respawn
 /// supervisor thread.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SupervisorShared {
     /// Pending respawn requests (shard indices) plus the stop flag.
     respawn_q: Mutex<RespawnQueue>,
     wake: Condvar,
-    /// The file the `Snapshot`/`LoadSnapshot` opcodes and the respawn
-    /// supervisor operate on.
-    snapshot_path: Mutex<Option<PathBuf>>,
-    /// `hx_hash` of the live navigator, recorded when the snapshot
-    /// path is configured — the boot-fidelity witness a respawned
-    /// backend must reproduce. `0` means "no snapshot configured"
-    /// (respawn disabled; panics fall back to streak counting).
-    witness: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -644,9 +684,7 @@ impl ShardedNavigator {
         cfg: ServeConfig,
     ) -> Result<Self, BuildError> {
         validate(&cfg)?;
-        let backend = Arc::new(Backend::build(points, params)?);
-        let backends = (0..cfg.shards).map(|_| Arc::clone(&backend)).collect();
-        Self::from_backends(backends, cfg)
+        Self::start(Arc::new(Backend::build(points, params)?), cfg)
     }
 
     /// Starts the service with every shard serving the same shared
@@ -661,8 +699,7 @@ impl ShardedNavigator {
     /// failure.
     pub fn shared(backend: Arc<Backend>, cfg: ServeConfig) -> Result<Self, BuildError> {
         validate(&cfg)?;
-        let backends = (0..cfg.shards).map(|_| Arc::clone(&backend)).collect();
-        Self::from_backends(backends, cfg)
+        Self::start(backend, cfg)
     }
 
     /// Starts the service over an online point set: every shard serves
@@ -686,9 +723,7 @@ impl ShardedNavigator {
     ) -> Result<Self, BuildError> {
         validate(&cfg)?;
         let nav = DynamicNavigator::new(points, dyn_cfg).map_err(BuildError::Dynamic)?;
-        let backend = Arc::new(Backend::from_dynamic(Arc::new(nav)));
-        let backends = (0..cfg.shards).map(|_| Arc::clone(&backend)).collect();
-        Self::from_backends(backends, cfg)
+        Self::start(Arc::new(Backend::from_dynamic(Arc::new(nav))), cfg)
     }
 
     /// The shared dynamic navigator, when the engine was built with
@@ -696,66 +731,68 @@ impl ShardedNavigator {
     /// use this to drive mutations and read epoch/H_X witnesses
     /// without going through the wire.
     pub fn dynamic_handle(&self) -> Option<Arc<DynamicNavigator>> {
-        self.backend_of(0).dynamic_nav().cloned()
+        self.backend.dynamic_nav().cloned()
     }
 
-    fn from_backends(backends: Vec<Arc<Backend>>, cfg: ServeConfig) -> Result<Self, BuildError> {
+    /// Starts `cfg.shards` worker pools over `backend` plus the
+    /// respawn supervisor. Each thread holds its own `Arc` clone.
+    fn start(backend: Arc<Backend>, cfg: ServeConfig) -> Result<Self, BuildError> {
         let metrics = Arc::new(ServeMetrics::default());
         let panic_counter = Arc::new(AtomicU64::new(0));
-        let sup = Arc::new(SupervisorShared {
-            respawn_q: Mutex::new(RespawnQueue {
-                respawns: Vec::with_capacity(cfg.shards),
-                stop: false,
-            }),
-            wake: Condvar::new(),
-            snapshot_path: Mutex::new(None),
-            witness: AtomicU64::new(0),
-        });
-        let mut shards = Vec::with_capacity(cfg.shards);
-        for (index, backend) in backends.into_iter().enumerate() {
-            let slots = (0..cfg.queue_depth).map(|_| Slot::new()).collect();
-            let free = (0..cfg.queue_depth as u32).rev().collect();
-            shards.push(Arc::new(ShardInner {
-                index: index as u32,
-                backend: Mutex::new(backend),
-                queue: BatchQueue::bounded(cfg.queue_depth),
-                slots,
-                free: Mutex::new(free),
-                health: HealthCell::default(),
-            }));
-        }
+        let sup = Arc::new(SupervisorShared::default());
+        let shards: Vec<Arc<ShardInner>> = (0..cfg.shards)
+            .map(|index| Arc::new(ShardInner::new(index, cfg.queue_depth)))
+            .collect();
         let mut workers = Vec::with_capacity(cfg.shards * cfg.workers_per_shard);
         for (si, shard) in shards.iter().enumerate() {
             for wi in 0..cfg.workers_per_shard {
                 let shard = Arc::clone(shard);
+                let backend = Arc::clone(&backend);
                 let metrics = Arc::clone(&metrics);
                 let wcfg = cfg.clone();
                 let counter = Arc::clone(&panic_counter);
                 let wsup = Arc::clone(&sup);
                 let handle = std::thread::Builder::new()
                     .name(format!("hopspan-serve-{si}-{wi}"))
-                    .spawn(move || worker_loop(&shard, &metrics, &wcfg, &counter, &wsup))
+                    .spawn(move || {
+                        let ctx = JobCtx {
+                            shard: &shard,
+                            backend: &backend,
+                            metrics: &metrics,
+                            cfg: &wcfg,
+                            panic_counter: &counter,
+                            sup: &wsup,
+                        };
+                        worker_loop(&ctx);
+                    })
                     .map_err(BuildError::Spawn)?;
                 workers.push(handle);
             }
         }
         let supervisor = {
             let shards = shards.clone();
+            let backend = Arc::clone(&backend);
             let metrics = Arc::clone(&metrics);
             let ssup = Arc::clone(&sup);
-            let scfg = cfg.clone();
+            let policy = cfg.policy;
             std::thread::Builder::new()
                 .name("hopspan-serve-supervisor".to_string())
-                .spawn(move || supervisor_loop(&shards, &metrics, &ssup, &scfg))
+                .spawn(move || {
+                    supervisor_loop(&shards, &metrics, &ssup, &backend, |op| {
+                        backend.execute(op, policy, &mut Scratch::new())
+                    });
+                })
                 .map_err(BuildError::Spawn)?
         };
         Ok(ShardedNavigator {
+            backend,
             shards,
             metrics,
             cfg,
             workers,
             sup,
             supervisor: Some(supervisor),
+            snapshot_path: Mutex::new(None),
         })
     }
 
@@ -775,35 +812,23 @@ impl ShardedNavigator {
         validate(&cfg)?;
         let bytes = store::read_snapshot_bytes(path).map_err(BuildError::Store)?;
         let snap = store::decode_snapshot(&bytes).map_err(BuildError::Store)?;
-        let backend = Arc::new(Backend::from_navigator(snap.points, snap.navigator));
-        let backends = (0..cfg.shards).map(|_| Arc::clone(&backend)).collect();
-        let engine = Self::from_backends(backends, cfg)?;
+        let backend = Backend::from_navigator(snap.points, snap.navigator);
+        let engine = Self::start(Arc::new(backend), cfg)?;
         engine.set_snapshot_path(path);
         Ok(engine)
     }
 
-    /// Configures the file the `Snapshot` / `LoadSnapshot` wire
-    /// opcodes and the respawn supervisor operate on. The snapshot
-    /// boot constructor sets this to the file it booted from.
-    /// Setting a path also records the live navigator's `hx_hash` as
-    /// the boot-fidelity witness and arms panic quarantine + respawn.
+    /// Names the file the `Snapshot` / `LoadSnapshot` wire opcodes
+    /// write and verify. The snapshot boot constructor sets it to the
+    /// file it booted from. Recovery never reads it: a respawned shard
+    /// re-attaches the engine's shared backend.
     pub fn set_snapshot_path(&self, path: impl Into<PathBuf>) {
-        *lock_resilient(&self.sup.snapshot_path) = Some(path.into());
-        // Dynamic engines have no stable navigator to witness (the
-        // published epoch changes under mutation), so respawn stays
-        // disarmed there (witness 0).
-        let hx = self.backend_of(0).static_nav().map_or(0, store::hx_hash);
-        self.sup.witness.store(hx, Ordering::Relaxed);
+        *lock_resilient(&self.snapshot_path) = Some(path.into());
     }
 
     /// The configured snapshot path, if any.
     pub fn snapshot_path(&self) -> Option<PathBuf> {
-        lock_resilient(&self.sup.snapshot_path).clone()
-    }
-
-    /// The current backend handle of shard `index`.
-    fn backend_of(&self, index: usize) -> Arc<Backend> {
-        self.shards[index].backend_arc()
+        lock_resilient(&self.snapshot_path).clone()
     }
 
     /// Current health of shard `index`.
@@ -824,18 +849,11 @@ impl ShardedNavigator {
     ///
     /// Panics when `index` is out of range, like any shard indexing.
     pub fn set_health(&self, index: usize, state: ShardHealth) {
-        let shard = &self.shards[index];
-        let was = shard.health.get();
-        shard.health.set(state);
-        self.metrics.set_health_byte(index, state.code());
-        if state == ShardHealth::Down && was != ShardHealth::Down {
-            ServeMetrics::bump(&self.metrics.shard_down_events);
-        }
+        self.shards[index].publish_health(&self.metrics, state);
     }
 
-    /// Serializes shard 0's backend to the configured snapshot path
-    /// (wire opcode `SNAPSHOT`). Replicas are bit-identical, so one
-    /// shard's structures are the whole service's structures.
+    /// Serializes the engine's backend to the configured snapshot
+    /// path (wire opcode `SNAPSHOT`).
     ///
     /// # Errors
     ///
@@ -845,11 +863,10 @@ impl ShardedNavigator {
         let path = self.snapshot_path().ok_or(ServeError::Unsupported {
             opcode: crate::wire::opcode::SNAPSHOT,
         })?;
-        let backend = self.backend_of(0);
-        let nav = backend.static_nav().ok_or(ServeError::Unsupported {
+        let nav = self.backend.static_nav().ok_or(ServeError::Unsupported {
             opcode: crate::wire::opcode::SNAPSHOT,
         })?;
-        store::write_snapshot_file(&path, &backend.metric, nav, None)
+        store::write_snapshot_file(&path, &self.backend.metric, nav, None)
             .map_err(|_| ServeError::Internal)
     }
 
@@ -867,8 +884,7 @@ impl ShardedNavigator {
             opcode: crate::wire::opcode::LOAD_SNAPSHOT,
         })?;
         let (snap, digest) = store::read_snapshot_file(&path).map_err(|_| ServeError::Internal)?;
-        let backend = self.backend_of(0);
-        let nav = backend.static_nav().ok_or(ServeError::Unsupported {
+        let nav = self.backend.static_nav().ok_or(ServeError::Unsupported {
             opcode: crate::wire::opcode::LOAD_SNAPSHOT,
         })?;
         if store::hx_hash(&snap.navigator) != store::hx_hash(nav) {
@@ -884,7 +900,7 @@ impl ShardedNavigator {
 
     /// Number of points each shard serves.
     pub fn points(&self) -> usize {
-        self.shards.first().map_or(0, |s| s.backend_arc().len())
+        self.backend.len()
     }
 
     /// The active configuration.
@@ -903,7 +919,7 @@ impl ShardedNavigator {
     /// dynamic engine the builder-side counters (rebuild count,
     /// per-shard epoch bytes) are reconciled first.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        if let Some(nav) = self.backend_of(0).dynamic_nav() {
+        if let Some(nav) = self.backend.dynamic_nav() {
             self.metrics
                 .rebuilds
                 .store(nav.counters().rebuilds, Ordering::Relaxed);
@@ -1030,9 +1046,8 @@ impl ShardedNavigator {
         out: &mut Vec<usize>,
     ) -> Result<(QueryOutcome, u64), ServeError> {
         ServeMetrics::bump(&self.metrics.inline_served);
-        let backend = self.backend_of(self.shard_for(&op));
         let mut scratch = Scratch::new();
-        let outcome = backend.execute(&op, self.cfg.policy, &mut scratch);
+        let outcome = self.backend.execute(&op, self.cfg.policy, &mut scratch);
         let epoch = scratch.epoch;
         out.clear();
         out.extend_from_slice(&scratch.out);
@@ -1051,7 +1066,7 @@ impl ShardedNavigator {
                 Ok((
                     QueryOutcome::Degraded {
                         reason: DegradeCode::Overload,
-                        achieved_stretch: realized_stretch(&backend.metric, out),
+                        achieved_stretch: realized_stretch(&self.backend.metric, out),
                     },
                     epoch,
                 ))
@@ -1239,31 +1254,14 @@ struct JobCtx<'a> {
 /// The shard worker: drain a batch, execute each job through the
 /// reused scratch, deliver by buffer swap, repeat until the queue
 /// closes.
-fn worker_loop(
-    shard: &ShardInner,
-    metrics: &ServeMetrics,
-    cfg: &ServeConfig,
-    panic_counter: &AtomicU64,
-    sup: &SupervisorShared,
-) {
+fn worker_loop(ctx: &JobCtx<'_>) {
     let mut scratch = Scratch::new();
-    let mut batch: Vec<Job> = Vec::with_capacity(cfg.max_batch);
-    while shard.queue.next_batch(cfg.max_batch, &mut batch) {
-        ServeMetrics::bump(&metrics.batches);
-        ServeMetrics::add(&metrics.batched_jobs, batch.len() as u64);
-        // One backend handle per flush: the supervisor may swap a
-        // respawned backend in between batches, never within one.
-        let backend = shard.backend_arc();
-        let ctx = JobCtx {
-            shard,
-            backend: &backend,
-            metrics,
-            cfg,
-            panic_counter,
-            sup,
-        };
+    let mut batch: Vec<Job> = Vec::with_capacity(ctx.cfg.max_batch);
+    while ctx.shard.queue.next_batch(ctx.cfg.max_batch, &mut batch) {
+        ServeMetrics::bump(&ctx.metrics.batches);
+        ServeMetrics::add(&ctx.metrics.batched_jobs, batch.len() as u64);
         for job in &batch {
-            run_job(&ctx, job, &mut scratch);
+            run_job(ctx, job, &mut scratch);
         }
     }
 }
@@ -1334,21 +1332,14 @@ fn run_job(ctx: &JobCtx<'_>, job: &Job, scratch: &mut Scratch) {
 fn record_health(ctx: &JobCtx<'_>, job: &Job, outcome: &Result<QueryOutcome, ServeError>) {
     match outcome {
         Err(ServeError::WorkerPanicked) => {
-            // A caught panic with a respawn snapshot configured is the
-            // strongest signal: quarantine immediately and hand the
-            // shard to the supervisor. Without a snapshot the panic
-            // falls back to streak counting — one contained panic
-            // among successes must not take the shard down.
-            if ctx.sup.witness.load(Ordering::Relaxed) != 0 {
-                if ctx.shard.health.quarantine() {
-                    ServeMetrics::bump(&ctx.metrics.shard_down_events);
-                }
-                ctx.metrics
-                    .set_health_byte(ctx.shard.index as usize, ShardHealth::Down.code());
-                request_respawn(ctx.sup, ctx.shard.index);
-            } else if let Some(next) = ctx.shard.health.record_failure() {
-                note_transition(ctx.metrics, ctx.shard.index, next);
+            // A caught panic is the strongest signal: quarantine at once
+            // and hand the shard to the supervisor's capability probes.
+            if ctx.shard.health.quarantine() {
+                ServeMetrics::bump(&ctx.metrics.shard_down_events);
             }
+            ctx.metrics
+                .set_health_byte(ctx.shard.index as usize, ShardHealth::Down.code());
+            request_respawn(ctx.sup, ctx.shard.index);
         }
         Err(ServeError::Internal) => {
             if let Some(next) = ctx.shard.health.record_failure() {
@@ -1381,13 +1372,14 @@ fn note_transition(metrics: &ServeMetrics, index: u32, next: ShardHealth) {
 }
 
 /// The respawn supervisor: waits for quarantined shard indices and
-/// rebuilds each from the configured snapshot. One thread per engine;
-/// exits when the engine drops.
+/// re-admits each once `run` passes every capability probe of
+/// `backend`. One thread per engine; exits when the engine drops.
 fn supervisor_loop(
     shards: &[Arc<ShardInner>],
     metrics: &ServeMetrics,
     sup: &SupervisorShared,
-    cfg: &ServeConfig,
+    backend: &Backend,
+    mut run: impl FnMut(&Op) -> Result<QueryOutcome, ServeError>,
 ) {
     loop {
         let index = {
@@ -1403,58 +1395,104 @@ fn supervisor_loop(
             }
         };
         if let Some(shard) = shards.get(index as usize) {
-            respawn_shard(shard, metrics, sup, cfg);
+            respawn_shard(shard, metrics, &backend.probes(), &mut run);
         }
     }
 }
 
-/// Rebuilds one quarantined shard from the configured snapshot and
-/// re-admits it: read → decode → `hx_hash` witness check → swap the
-/// fresh backend in → `Suspect` → probe query → `Healthy`. Every
-/// failure leaves the shard `Down` (the next panic on it queues
-/// another attempt); a corrupt or divergent snapshot is never
-/// re-admitted.
+/// Re-admits one quarantined shard: `Suspect`, then each probe through
+/// `run` under `catch_unwind`, then `Healthy` and one more respawn if
+/// every probe passed. A probe passes when it neither panics nor
+/// answers `Internal`; a client-typed error (say, a dynamic id retired
+/// between listing and probing) proves the kernel ran, as in
+/// `record_health`. Any failure leaves the shard `Down`.
 fn respawn_shard(
     shard: &ShardInner,
     metrics: &ServeMetrics,
-    sup: &SupervisorShared,
-    cfg: &ServeConfig,
+    probes: &[Op],
+    run: &mut impl FnMut(&Op) -> Result<QueryOutcome, ServeError>,
 ) {
-    let path = lock_resilient(&sup.snapshot_path).clone();
-    let Some(path) = path else { return };
-    let Ok(bytes) = store::read_snapshot_bytes(&path) else {
-        return;
-    };
-    let Ok(snap) = store::decode_snapshot(&bytes) else {
-        return;
-    };
-    let witness = sup.witness.load(Ordering::Relaxed);
-    if witness != 0 && store::hx_hash(&snap.navigator) != witness {
-        return;
-    }
-    let fresh = Arc::new(Backend::from_navigator(snap.points, snap.navigator));
-    *lock_resilient(&shard.backend) = Arc::clone(&fresh);
-    shard.health.set(ShardHealth::Suspect);
-    metrics.set_health_byte(shard.index as usize, ShardHealth::Suspect.code());
-    // Boot-fidelity probe: one real query through the fresh backend.
-    // Any outcome that is not `Internal` proves the kernel executes.
-    let mut scratch = Scratch::new();
-    let probe_ok = if fresh.is_empty() {
-        true
-    } else {
-        let v = if fresh.len() >= 2 { 1 } else { 0 };
-        let probe = Op::FindPath { u: 0, v };
-        !matches!(
-            fresh.execute(&probe, cfg.policy, &mut scratch),
-            Err(ServeError::Internal)
+    shard.publish_health(metrics, ShardHealth::Suspect);
+    let passed = probes.iter().all(|op| {
+        matches!(
+            catch_unwind(AssertUnwindSafe(|| run(op))),
+            Ok(answer) if !matches!(answer, Err(ServeError::Internal))
         )
-    };
-    if probe_ok {
-        shard.health.set(ShardHealth::Healthy);
-        metrics.set_health_byte(shard.index as usize, ShardHealth::Healthy.code());
+    });
+    if passed {
+        shard.publish_health(metrics, ShardHealth::Healthy);
         ServeMetrics::bump(&metrics.respawns);
     } else {
-        shard.health.set(ShardHealth::Down);
-        metrics.set_health_byte(shard.index as usize, ShardHealth::Down.code());
+        shard.publish_health(metrics, ShardHealth::Down);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    /// Polls `cond` for up to ten seconds.
+    fn wait_for(cond: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn a_failing_probe_keeps_the_shard_down_and_the_supervisor_serving() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let points = hopspan_metric::gen::uniform_points(8, 2, &mut rng);
+        let backend = Backend::build(&points, &BackendParams::default()).expect("backend builds");
+        assert_eq!(backend.probes().len(), 3, "FindPath, Route, RouteAvoiding");
+        let shards = vec![Arc::new(ShardInner::new(0, 1))];
+        let shard = &shards[0];
+        let metrics = ServeMetrics::default();
+        let sup = SupervisorShared::default();
+        // The first attempt's probe panics, the second's answers
+        // `Internal`, and every later probe passes.
+        let calls = AtomicUsize::new(0);
+        let down_after_failures = |attempt: usize| {
+            wait_for(|| {
+                calls.load(Ordering::SeqCst) == attempt && shard.health.get() == ShardHealth::Down
+            })
+        };
+        let (failed_stay_down, readmitted) = std::thread::scope(|s| {
+            s.spawn(|| {
+                supervisor_loop(&shards, &metrics, &sup, &backend, |_op| {
+                    match calls.fetch_add(1, Ordering::SeqCst) {
+                        0 => panic!("injected probe panic"),
+                        1 => Err(ServeError::Internal),
+                        _ => Ok(QueryOutcome::Full),
+                    }
+                });
+            });
+            let failed_stay_down = (1..=2).all(|attempt| {
+                shard.publish_health(&metrics, ShardHealth::Down);
+                request_respawn(&sup, 0);
+                down_after_failures(attempt) && metrics.respawns.load(Ordering::SeqCst) == 0
+            });
+            // The supervisor outlived the panicking probe and serves
+            // the next request: all three probes pass this time.
+            request_respawn(&sup, 0);
+            let readmitted = wait_for(|| shard.health.get() == ShardHealth::Healthy);
+            // Stop the supervisor before asserting, so a failure
+            // cannot leave the scope waiting on it.
+            lock_resilient(&sup.respawn_q).stop = true;
+            sup.wake.notify_all();
+            (failed_stay_down, readmitted)
+        });
+        assert!(
+            failed_stay_down,
+            "a probe that panics or answers Internal must leave the shard Down, uncounted"
+        );
+        assert!(readmitted, "the third attempt must re-admit the shard");
+        assert_eq!(metrics.respawns.load(Ordering::SeqCst), 1);
+        assert_eq!(calls.load(Ordering::SeqCst), 5);
     }
 }

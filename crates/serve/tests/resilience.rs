@@ -1,19 +1,21 @@
 //! Self-healing behavior end to end: replicated and shared-mode failover
 //! answer every query while shards are down, injected panics surface
 //! typed without a retry, slow shards are demoted by the overrun limit,
-//! and quarantined shards respawn from the boot snapshot — or stay down
-//! when the snapshot is corrupt.
+//! and quarantined shards re-attach the engine's shared backend with
+//! every capability and answer they had — without reading the
+//! snapshot file, damaged or missing.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hopspan_core::DegradationPolicy;
+use hopspan_dynamic::DynConfig;
 use hopspan_metric::gen;
 use hopspan_serve::{
-    shard_of_point, Backend, BackendParams, Op, QueryOutcome, ServeConfig, ServeError, ShardHealth,
-    ShardedNavigator,
+    shard_of_point, Backend, BackendParams, FaultSet, Op, QueryOutcome, ServeConfig, ServeError,
+    ShardHealth, ShardedNavigator,
 };
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 const N: usize = 64;
@@ -279,11 +281,69 @@ fn a_slow_shard_is_demoted_by_the_overrun_limit() {
     assert_eq!(engine.dispatch_for(&op), 1);
 }
 
+/// Whether every shard of `engine` is `Healthy` and at least
+/// `respawns` re-admissions happened.
+fn readmitted(engine: &ShardedNavigator, respawns: u64) -> bool {
+    engine.snapshot().respawns >= respawns
+        && (0..engine.shards()).all(|i| engine.health(i) == ShardHealth::Healthy)
+}
+
 #[test]
-fn a_quarantined_shard_respawns_from_the_snapshot_and_recovers() {
-    // Boot from a snapshot so the fidelity witness is armed: the very
-    // first injected panic quarantines the shard and the supervisor
-    // rebuilds it from disk.
+fn a_respawned_shard_keeps_its_route_and_route_avoiding_answers() {
+    let ops: Vec<Op> = (0..8u32)
+        .flat_map(|u| {
+            let v = (u + 17) % N as u32;
+            let faults = FaultSet::new(&[(u + 5) % N as u32]).expect("one fault fits");
+            [Op::Route { u, v }, Op::RouteAvoiding { u, v, faults }]
+        })
+        .collect();
+    // The job after the recorded ones panics; the replay after the
+    // respawn stays clear of the next injection.
+    let period = ops.len() as u64 + 1;
+    let engine = ShardedNavigator::replicated(
+        &points(),
+        &params(),
+        ServeConfig {
+            shards: 2,
+            chaos_panic_period: Some(period),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("replicated engine starts");
+    // A configured snapshot names a file for the snapshot opcodes only;
+    // recovery never reads it.
+    let path = temp_snapshot_path("capabilities");
+    engine.set_snapshot_path(&path);
+    engine.write_snapshot().expect("snapshot writes");
+
+    let answer = |op: Op| {
+        let mut out = Vec::new();
+        let outcome = engine.call(op, &mut out);
+        (outcome, out)
+    };
+    let before: Vec<_> = ops.iter().map(|&op| answer(op)).collect();
+    for (op, (outcome, _)) in ops.iter().zip(&before) {
+        assert_eq!(outcome, &Ok(QueryOutcome::Full), "{op:?} before the panic");
+    }
+    assert_eq!(
+        answer(Op::FindPath { u: 1, v: 2 }).0,
+        Err(ServeError::WorkerPanicked)
+    );
+    assert!(
+        wait_for(|| readmitted(&engine, 1)),
+        "the quarantined shard must be re-admitted; respawns={}",
+        engine.snapshot().respawns
+    );
+    let after: Vec<_> = ops.iter().map(|&op| answer(op)).collect();
+    assert_eq!(
+        after, before,
+        "a respawn must keep every capability and answer"
+    );
+    let _cleanup = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_snapshot_booted_shard_respawns_without_reading_the_file() {
     let seed_engine = ShardedNavigator::replicated(
         &points(),
         &params(),
@@ -307,6 +367,9 @@ fn a_quarantined_shard_respawns_from_the_snapshot_and_recovers() {
         },
     )
     .expect("snapshot boot");
+    // Recovery re-attaches the decoded backend in memory: the file
+    // can go away after boot.
+    std::fs::remove_file(&path).expect("snapshot removable");
     let mut out = Vec::new();
     let mut saw_panic = false;
     for i in 0..8u32 {
@@ -317,21 +380,19 @@ fn a_quarantined_shard_respawns_from_the_snapshot_and_recovers() {
         }
     }
     assert!(saw_panic, "chaos_panic_period must fire within 8 jobs");
-    // The supervisor re-admits the shard: Down → snapshot rebuild →
-    // Suspect → probe → Healthy, and the respawn counter ticks.
+    // Down → Suspect → capability probe → Healthy, and the respawn
+    // counter ticks.
     assert!(
-        wait_for(|| engine.snapshot().respawns >= 1 && engine.health(0) == ShardHealth::Healthy),
+        wait_for(|| readmitted(&engine, 1)),
         "the shard must be re-admitted to Healthy; health={:?}, respawns={}",
         engine.health(0),
         engine.snapshot().respawns,
     );
     assert!(engine.snapshot().shard_down_events >= 1);
-    // And it serves correct answers again.
     let outcome = engine
         .call(Op::FindPath { u: 2, v: 33 }, &mut out)
         .expect("respawned shard serves");
     assert_eq!(outcome, QueryOutcome::Full);
-    let _cleanup = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -359,18 +420,31 @@ fn a_corrupt_snapshot_is_never_readmitted() {
         },
     )
     .expect("snapshot boot");
+    let sweep = |out: &mut Vec<usize>| -> Vec<Vec<usize>> {
+        (0..5u32)
+            .filter_map(
+                |i| match engine.call(Op::FindPath { u: i, v: i + 40 }, out) {
+                    Ok(QueryOutcome::Full) => Some(out.clone()),
+                    Err(ServeError::WorkerPanicked) => None,
+                    other => panic!("unexpected outcome {other:?}"),
+                },
+            )
+            .collect()
+    };
+    let mut out = Vec::new();
+    let before = sweep(&mut out);
+    assert_eq!(before.len(), 5, "the first five jobs clear the injection");
 
-    // Corrupt the snapshot on disk *after* boot: the next quarantine's
-    // respawn reads garbage, fails the witness check and must leave
-    // the shard Down rather than re-admit a divergent backend.
+    // Damage the file *after* boot. The snapshot opcode that reads it
+    // refuses it typed; respawn never reads it.
     let mut bytes = std::fs::read(&path).expect("snapshot readable");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&path, &bytes).expect("snapshot corruptible");
+    assert_eq!(engine.load_snapshot_verify(), Err(ServeError::Internal));
 
-    let mut out = Vec::new();
     let mut panicked = 0u32;
-    for i in 0..24u32 {
+    for i in 0..13u32 {
         if let Err(ServeError::WorkerPanicked) = engine.call(
             Op::FindPath {
                 u: i % N as u32,
@@ -383,29 +457,71 @@ fn a_corrupt_snapshot_is_never_readmitted() {
     }
     assert!(panicked >= 1, "chaos injection must fire");
     assert!(
-        wait_for(|| engine.snapshot().shard_down_events >= 1),
-        "a panic must quarantine its shard"
+        wait_for(|| readmitted(&engine, 1)),
+        "a quarantined shard must be re-admitted from memory; respawns={}",
+        engine.snapshot().respawns
     );
-    // Give the supervisor time to attempt (and refuse) the respawn.
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(
-        engine.snapshot().respawns,
-        0,
-        "a corrupt snapshot must never re-admit"
-    );
-    assert!(
-        (0..2).any(|i| engine.health(i) == ShardHealth::Down),
-        "the quarantined shard stays Down"
-    );
-    // The service survives: healthy-or-owner dispatch still answers.
-    for i in 0..8u32 {
-        let op = Op::FindPath { u: i, v: i + 40 };
-        match engine.call(op, &mut out) {
-            Ok(QueryOutcome::Full) | Err(ServeError::WorkerPanicked) => {}
-            other => panic!("unexpected outcome {other:?}"),
+    assert!(engine.snapshot().shard_down_events >= 1);
+    // Jobs 19..=23 carry no injection (the next fires at job 24).
+    assert_eq!(sweep(&mut out), before, "answers unchanged after respawn");
+    assert_eq!(engine.load_snapshot_verify(), Err(ServeError::Internal));
+    let _cleanup = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_dynamic_respawn_keeps_acknowledged_inserts_and_monotonic_epochs() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5E4E_0003);
+    let seed_points: Vec<Vec<f64>> = (0..32)
+        .map(|_| (0..2).map(|_| rng.gen::<f64>() * 10.0).collect())
+        .collect();
+    let engine = ShardedNavigator::dynamic(
+        &seed_points,
+        DynConfig::default(),
+        ServeConfig {
+            shards: 2,
+            chaos_panic_period: Some(5),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("dynamic engine starts");
+    let mut last_epoch = 0u64;
+    let mut call = |op: Op| {
+        let mut out = Vec::new();
+        let answer = engine.call_with_epoch(op, &mut out);
+        if let Ok((_, epoch)) = answer {
+            assert!(epoch >= last_epoch, "epoch {epoch} after {last_epoch}");
+            last_epoch = epoch;
+        }
+        answer.map(|(outcome, _)| outcome)
+    };
+    let mut acked = Vec::new();
+    let mut panicked = 0u32;
+    for i in 0..12u32 {
+        let op = Op::insert(&[20.0 + f64::from(i), 3.0 * f64::from(i)]).expect("dim 2 fits");
+        match call(op) {
+            Ok(QueryOutcome::Mutation { id, .. }) => acked.push(id),
+            Err(ServeError::WorkerPanicked) => panicked += 1,
+            other => panic!("unexpected insert outcome {other:?}"),
         }
     }
-    let _cleanup = std::fs::remove_file(&path);
+    assert!(panicked >= 1, "chaos injection must fire");
+    assert!(
+        wait_for(|| readmitted(&engine, 1)),
+        "a quarantined dynamic shard must be re-admitted; respawns={}",
+        engine.snapshot().respawns
+    );
+    engine.dynamic_handle().expect("dynamic engine").flush();
+    for &id in &acked {
+        // An injected panic is not an answer; ask again.
+        let outcome = (0..3)
+            .map(|_| call(Op::FindPath { u: id, v: 0 }))
+            .find(|r| r != &Err(ServeError::WorkerPanicked));
+        assert_eq!(
+            outcome,
+            Some(Ok(QueryOutcome::Full)),
+            "acknowledged insert {id} must stay answerable"
+        );
+    }
 }
 
 #[test]
