@@ -122,7 +122,9 @@ fn churn_family_holds_the_epoch_contract() {
 /// The golden degraded hash: every degraded delivery of the smoke
 /// campaign (ids, degrade records, bit-exact stretches), FNV-1a. A
 /// drift here means degradation became nondeterministic or its
-/// semantics changed — both are release blockers.
+/// semantics changed — both are release blockers. Re-pinned when the
+/// robust cover's pairing became one first-fit colouring of unordered
+/// near pairs, which changed the FT spanner's degraded answers.
 #[test]
 fn degraded_outcomes_match_the_golden_hash() {
     let (_, report) = smoke();
@@ -132,7 +134,7 @@ fn degraded_outcomes_match_the_golden_hash() {
     );
     assert_eq!(
         report.degraded_hash(),
-        0xa63f_cdcb_1716_2f38,
+        0xfc7d_02cc_975f_b19d,
         "golden degraded hash drifted (see test doc)"
     );
 }

@@ -1288,12 +1288,17 @@ fn run_job(ctx: &JobCtx<'_>, job: &Job, scratch: &mut Scratch) {
         Err(_) => {
             // The panic may have left scratch buffers mid-write; clear
             // them so the next job starts clean.
-            scratch.out.clear();
             scratch.tree.clear();
             scratch.fault_set.clear();
             Err(ServeError::WorkerPanicked)
         }
     };
+    if outcome.is_err() {
+        // A failed job answers no path; `out` may still hold an earlier
+        // job's path (or a panic's partial one), which the swap below
+        // would hand to this caller.
+        scratch.out.clear();
+    }
     record_health(ctx, job, &outcome);
     ServeMetrics::bump(&ctx.metrics.completed);
     match &outcome {

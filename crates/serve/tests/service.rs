@@ -462,3 +462,39 @@ fn snapshot_opcodes_serve_over_tcp() {
     server.shutdown();
     let _cleanup = std::fs::remove_file(&path);
 }
+
+/// A failed queued call hands back no path: `RouteAvoiding` on a
+/// backend without an FT spanner answers `Unsupported` with `out`
+/// empty, even right after `FindPath` answers on the same shard.
+#[test]
+fn a_failed_call_returns_no_stale_path() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5E4E_0002);
+    let points = gen::uniform_points(N, 2, &mut rng);
+    let no_ft = BackendParams {
+        build_ft: false,
+        ..params()
+    };
+    let engine = ShardedNavigator::shared(
+        Arc::new(Backend::build(&points, &no_ft).expect("seeded backend builds")),
+        ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("engine starts");
+    let faults = FaultSet::new(&[5]).expect("one fault fits");
+    let mut out = Vec::new();
+    for (u, v) in [(3, 9), (1, 40), (7, 22), (3, 9)] {
+        let found = engine.call(Op::FindPath { u, v }, &mut out);
+        assert_eq!(found, Ok(QueryOutcome::Full));
+        assert!(!out.is_empty());
+        for _ in 0..3 {
+            let avoided = engine.call(Op::RouteAvoiding { u, v, faults }, &mut out);
+            assert!(
+                matches!(avoided, Err(ServeError::Unsupported { .. })),
+                "{avoided:?}"
+            );
+            assert!(out.is_empty(), "a failed call returned the path {out:?}");
+        }
+    }
+}

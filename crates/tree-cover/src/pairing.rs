@@ -1,19 +1,24 @@
 //! Pairing covers of nets (paper Definition 4.2, Lemma 4.2, Figure 2).
 //!
-//! A pairing cover 𝒞_i of a `2^i`-net `N_i` is a small family of subsets
-//! such that (1) within each subset every point has at most one other
-//! point within `2^i/ε`, and (2) every pair of net points within `2^i/ε`
-//! is *paired* by some subset. Step 1a builds a well-separated partition
-//! 𝒫_i (pairwise distance `> (3/ε)·2^i` inside each class); Step 1b blows
-//! each class into σ₂ pair sets.
+//! A pairing cover 𝒞_i of a `2^i`-net `N_i` is a small family of pair
+//! sets such that (1) within each set every point has at most one other
+//! point within the pairing radius, and (2) every pair of net points
+//! within the radius is *paired* by some set. Each level's cover is one
+//! first-fit colouring of its unordered near pairs, in a fixed order: `x`
+//! in net order, then each neighbour `y` within the radius by distance
+//! rank, taking each pair once at its earlier endpoint `x`. A pair joins
+//! the first set whose endpoints are all more than `sep = 3·radius` from
+//! both `x` and `y`, and opens a new set if there is none. Distinct pairs
+//! of one set are then more than `sep` apart, which gives (1) and keeps
+//! the separation that Lemma 4.3's merge constants assume; every near
+//! pair is coloured, which gives (2).
 
 use hopspan_metric::Metric;
 
 use crate::nets::{exp2, NetHierarchy};
 
-/// One set of a pairing cover: the explicit list of `(x, y)` pairs it
-/// induces (with `x` ranging over one partition class; `y = x` encodes a
-/// padded no-op pair).
+/// One set of a pairing cover: its pairs `(x, y)` of distinct net
+/// points, `x` the endpoint earlier in net order (the merge anchor).
 #[derive(Debug, Clone)]
 pub struct PairSet {
     /// The `(x, y)` pairs (point ids).
@@ -32,69 +37,19 @@ impl PairingCover {
     /// Builds pairing covers for every level of `nets` with parameter ε.
     pub fn new<M: Metric>(metric: &M, nets: &NetHierarchy, eps: f64) -> Self {
         assert!(eps > 0.0 && eps <= 1.0, "eps in (0, 1]");
-        let mut sets = Vec::with_capacity(nets.levels().len());
-        for level in nets.levels() {
-            let pts = &level.points;
-            // Radius (1/ε + 4)·2^i instead of the paper's 2^i/ε: our
-            // nested nets cover within 2·2^i, so the net parents p, q of a
-            // pair at its equation-(2) level satisfy δ(p,q) ≤ δ + 4·2^i ≤
-            // (1/ε + 4)·2^i — the widened radius keeps them paired. The
-            // separation stays 3× the radius, which is all that property
-            // (1) needs.
-            let radius = (1.0 / eps + 4.0) * exp2(level.scale_exp);
-            let sep = 3.0 * radius;
-            // Step 1a: well-separated partition.
-            let mut partition: Vec<Vec<usize>> = Vec::new();
-            for &x in pts {
-                let slot = partition
-                    .iter()
-                    .position(|class| class.iter().all(|&y| metric.dist(x, y) > sep));
-                match slot {
-                    Some(s) => partition[s].push(x),
-                    None => partition.push(vec![x]),
-                }
-            }
-            // Step 1b: neighbor sequences and pair sets.
-            let neighbors: Vec<Vec<usize>> = pts
-                .iter()
-                .map(|&x| {
-                    let mut nb: Vec<usize> = pts
-                        .iter()
-                        .copied()
-                        .filter(|&y| y != x && metric.dist(x, y) <= radius)
-                        .collect();
-                    nb.sort_by(|&a, &b| {
-                        metric
-                            .dist(x, a)
-                            .total_cmp(&metric.dist(x, b))
-                            .then(a.cmp(&b))
-                    });
-                    nb
-                })
-                .collect();
-            // hopspan:allow(panic-in-lib) -- idx_of is only called on members of pts (the net itself)
-            let idx_of = |x: usize| pts.iter().position(|&p| p == x).expect("net point");
-            let sigma2 = neighbors.iter().map(|nb| nb.len()).max().unwrap_or(0);
-            let mut level_sets = Vec::new();
-            for class in &partition {
-                for j in 0..sigma2.max(1) {
-                    let pairs: Vec<(usize, usize)> = class
-                        .iter()
-                        .map(|&x| {
-                            let nb = &neighbors[idx_of(x)];
-                            (x, nb.get(j).copied().unwrap_or(x))
-                        })
-                        .collect();
-                    // Sets made purely of padded self-pairs carry no
-                    // coverage obligation; dropping them shrinks σ₃ (and
-                    // hence ζ) without affecting Definition 4.2.
-                    if pairs.iter().any(|&(a, b)| a != b) {
-                        level_sets.push(PairSet { pairs });
-                    }
-                }
-            }
-            sets.push(level_sets);
-        }
+        let sets = nets
+            .levels()
+            .iter()
+            .map(|level| {
+                // Radius (1/ε + 4)·2^i instead of the paper's 2^i/ε: our
+                // nested nets cover within 2·2^i, so the net parents p, q
+                // of a pair at its equation-(2) level satisfy δ(p,q) ≤ δ +
+                // 4·2^i ≤ (1/ε + 4)·2^i — the widened radius keeps them
+                // paired.
+                let radius = (1.0 / eps + 4.0) * exp2(level.scale_exp);
+                colour_level(metric, &level.points, radius)
+            })
+            .collect();
         PairingCover { sets, eps }
     }
 
@@ -167,10 +122,57 @@ impl PairingCover {
     }
 }
 
+/// First-fit colouring of the unordered pairs of `pts` within `radius`
+/// (see the module docs). `blocked[s·k + b]` records that net position
+/// `b` lies within `3·radius` of an endpoint of set `s`, so a pair fits
+/// set `s` iff neither endpoint is blocked there.
+fn colour_level<M: Metric>(metric: &M, pts: &[usize], radius: f64) -> Vec<PairSet> {
+    let sep = 3.0 * radius;
+    let k = pts.len();
+    // Per net position: the positions within sep (itself included) and
+    // the later positions within the radius, nearest first.
+    let mut ball: Vec<Vec<usize>> = vec![Vec::new(); k];
+    let mut later: Vec<Vec<(f64, usize)>> = vec![Vec::new(); k];
+    for a in 0..k {
+        ball[a].push(a);
+        for b in (a + 1)..k {
+            let d = metric.dist(pts[a], pts[b]);
+            if d <= sep {
+                ball[a].push(b);
+                ball[b].push(a);
+            }
+            if d <= radius {
+                later[a].push((d, b));
+            }
+        }
+        later[a].sort_by(|&(dx, x), &(dy, y)| dx.total_cmp(&dy).then(pts[x].cmp(&pts[y])));
+    }
+    let mut sets: Vec<PairSet> = Vec::new();
+    let mut blocked: Vec<bool> = Vec::new();
+    for (a, near) in later.iter().enumerate() {
+        for &(_, b) in near {
+            let s = (0..sets.len())
+                .find(|&s| !blocked[s * k + a] && !blocked[s * k + b])
+                .unwrap_or_else(|| {
+                    sets.push(PairSet { pairs: Vec::new() });
+                    blocked.resize(sets.len() * k, false);
+                    sets.len() - 1
+                });
+            sets[s].pairs.push((pts[a], pts[b]));
+            for &c in ball[a].iter().chain(&ball[b]) {
+                blocked[s * k + c] = true;
+            }
+        }
+    }
+    sets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hopspan_metric::EuclideanSpace;
+    use hopspan_metric::{gen, EuclideanSpace};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn line(n: usize) -> EuclideanSpace {
         EuclideanSpace::from_points(&(0..n).map(|i| vec![i as f64]).collect::<Vec<_>>())
@@ -215,15 +217,49 @@ mod tests {
     }
 
     #[test]
-    fn self_pairs_are_padding() {
-        let m = line(4);
-        let nets = NetHierarchy::for_epsilon(&m, 1.0, 1).unwrap();
-        let pc = PairingCover::new(&m, &nets, 1.0);
-        // Every pair list is non-empty and uses x = y only as padding.
-        for l in 0..nets.levels().len() {
-            for s in pc.level(l) {
-                assert!(!s.pairs.is_empty());
+    fn pairing_properties_clustered_2d() {
+        let mut rng = ChaCha8Rng::seed_from_u64(25);
+        let m = gen::clustered_points(96, 2, 8, 0.02, &mut rng);
+        for eps in [0.5, 0.25] {
+            let nets = NetHierarchy::for_epsilon(&m, eps, 2).unwrap();
+            let pc = PairingCover::new(&m, &nets, eps);
+            for l in 0..nets.levels().len() {
+                pc.verify_level(&m, &nets, l).unwrap();
             }
+        }
+    }
+
+    /// Every near pair is coloured exactly once, as (earlier, later) in
+    /// net order; there are no self-pairs and no empty sets.
+    #[test]
+    fn each_near_pair_is_coloured_once() {
+        let mut rng = ChaCha8Rng::seed_from_u64(26);
+        let m = gen::uniform_points(48, 2, &mut rng);
+        let eps = 0.5;
+        let nets = NetHierarchy::for_epsilon(&m, eps, 2).unwrap();
+        let pc = PairingCover::new(&m, &nets, eps);
+        for (l, level) in nets.levels().iter().enumerate() {
+            let radius = (1.0 / eps + 4.0) * exp2(level.scale_exp);
+            let rank = |x: usize| level.points.iter().position(|&p| p == x).unwrap();
+            let mut got: Vec<(usize, usize)> = Vec::new();
+            for set in pc.level(l) {
+                assert!(!set.pairs.is_empty());
+                for &(x, y) in &set.pairs {
+                    assert!(rank(x) < rank(y), "pair ({x}, {y}) not anchored first");
+                    got.push((x, y));
+                }
+            }
+            let mut want: Vec<(usize, usize)> = Vec::new();
+            for (a, &x) in level.points.iter().enumerate() {
+                for &y in &level.points[a + 1..] {
+                    if m.dist(x, y) <= radius {
+                        want.push((x, y));
+                    }
+                }
+            }
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "level {l}");
         }
     }
 }

@@ -39,27 +39,31 @@ use rand_chacha::ChaCha8Rng;
 
 /// Pre-refactor hash of workload 1 (tree spanners, k ∈ {2, 3, 4, 6}).
 const GOLDEN_TREE: u64 = 0x689d_e8aa_4fa5_90ae;
-/// Pre-refactor hash of workload 2 (doubling cover, uniform points).
-const GOLDEN_DOUBLING: u64 = 0xc19c_3bbb_643a_87ff;
+/// Hash of workload 2 (doubling cover, uniform points), re-pinned when
+/// each level's pairing cover became one first-fit colouring of
+/// unordered near pairs, which changed the robust cover's trees.
+const GOLDEN_DOUBLING: u64 = 0xfef3_66db_b417_5d23;
 /// Pre-refactor hash of workload 3 (Ramsey cover, graph metric).
 const GOLDEN_RAMSEY: u64 = 0xc417_efe6_1336_be49;
-/// Hash of workload 4 (fault-tolerant spanner, both policies), pinned
-/// before the cover's duplicate trees were dropped from the FT scan.
-const GOLDEN_FT: u64 = 0x140e_9a84_2226_170f;
+/// Hash of workload 4 (fault-tolerant spanner, both policies), re-pinned
+/// with `GOLDEN_DOUBLING` for the first-fit pairing cover.
+const GOLDEN_FT: u64 = 0x0091_5fe7_da30_8ac5;
 /// Hash of workload 1's `TreeHopSpanner::edges()` for every k.
 const GOLDEN_TREE_EDGES: u64 = 0xda9a_65d9_e892_3648;
-/// Hash of workload 4's `FaultTolerantSpanner::edges()`.
-const GOLDEN_FT_EDGES: u64 = 0x7745_7e57_e5f8_fb7a;
+/// Hash of workload 4's `FaultTolerantSpanner::edges()` (re-pinned with
+/// `GOLDEN_FT`).
+const GOLDEN_FT_EDGES: u64 = 0x7c50_e5dd_a629_884e;
 
-/// Hash of the doubling routing workload, pinned before the plain and
-/// fault-tolerant routing builders were merged into one.
-const GOLDEN_ROUTE_DOUBLING: u64 = 0xfa5d_8f91_6981_4554;
+/// Hash of the doubling routing workload, re-pinned with
+/// `GOLDEN_DOUBLING` for the first-fit pairing cover.
+const GOLDEN_ROUTE_DOUBLING: u64 = 0xe673_05cb_e3d5_2620;
 /// Hash of the general (Ramsey, home-tree) routing workload.
 const GOLDEN_ROUTE_GENERAL: u64 = 0xda1f_5e38_345b_ed3d;
 /// Hash of the planar routing workload.
 const GOLDEN_ROUTE_PLANAR: u64 = 0x66ec_0417_efa3_c193;
-/// Hash of the fault-tolerant routing workload (f = 1, both policies).
-const GOLDEN_ROUTE_FT: u64 = 0x27da_bb91_603c_aba3;
+/// Hash of the fault-tolerant routing workload (f = 1, both policies),
+/// re-pinned with `GOLDEN_DOUBLING` for the first-fit pairing cover.
+const GOLDEN_ROUTE_FT: u64 = 0xf577_580c_59e6_70a1;
 
 fn push_path(out: &mut String, u: usize, v: usize, path: &[usize]) {
     out.push_str(&format!("{u} {v}:"));
