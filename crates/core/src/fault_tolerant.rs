@@ -170,6 +170,15 @@ impl TreeOverlay {
             pairs,
         })
     }
+
+    /// Point -> leaf vertex for the points `0..n`, `u32::MAX` where the
+    /// tree does not cover the point: all that tree selection reads of
+    /// the cover tree, so a consumer can keep it and drop [`Self::dom`].
+    pub fn leaf_table(&self, n: usize) -> Vec<u32> {
+        (0..n)
+            .map(|p| self.dom.leaf_of(p).map_or(u32::MAX, narrow))
+            .collect()
+    }
 }
 
 /// One tree's share of the build: the kept [`FtTree`] and its biclique
@@ -193,17 +202,16 @@ impl FtTree {
         f: usize,
         k: usize,
     ) -> Result<BuiltTree, TreeSpannerError> {
+        let overlay = TreeOverlay::new(dom, k, f)?;
+        let leaf_of = overlay.leaf_table(n);
         let TreeOverlay {
-            dom,
             mut spanner,
             candidates,
             instances,
             pairs,
-        } = TreeOverlay::new(dom, k, f)?;
+            ..
+        } = overlay;
         let spanner_edges = spanner.take_edges().len();
-        let leaf_of = (0..n)
-            .map(|p| dom.leaf_of(p).map_or(u32::MAX, narrow))
-            .collect();
         Ok(BuiltTree {
             tree: FtTree {
                 spanner,
@@ -704,18 +712,19 @@ impl FaultTolerantSpanner {
                 let cand = t.cand.of(scratch[i]);
                 // Any non-faulty candidate is valid (robustness); pick the
                 // one closest to the previous path point to keep the
-                // realized constant small.
-                let pick = cand
-                    .iter()
-                    .map(|&p| p as usize)
-                    .filter(|p| !faulty.contains(p))
-                    .min_by(|&a, &b| {
-                        metric
-                            .dist(prev, a)
-                            .partial_cmp(&metric.dist(prev, b))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                match pick {
+                // realized constant small. Each distance is computed once,
+                // and the first strict minimum wins, as with `min_by`.
+                let mut pick: Option<(usize, f64)> = None;
+                for p in cand.iter().map(|&p| p as usize) {
+                    if faulty.contains(&p) {
+                        continue;
+                    }
+                    let d = metric.dist(prev, p);
+                    if pick.is_none_or(|(_, bd)| bd > d) {
+                        pick = Some((p, d));
+                    }
+                }
+                match pick.map(|(p, _)| p) {
                     Some(p) => {
                         scratch[i] = p;
                         prev = p;

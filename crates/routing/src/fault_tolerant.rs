@@ -137,7 +137,7 @@ impl FtMetricRoutingScheme {
         // Order trees by decoded tree distance.
         order.clear();
         for (i, t) in rs.trees.iter().enumerate() {
-            let (Some(lu), Some(lv)) = (t.dom.leaf_of(u), t.dom.leaf_of(v)) else {
+            let (Some(lu), Some(lv)) = (t.leaf_of(u), t.leaf_of(v)) else {
                 continue;
             };
             order.push((i, t.labeling.distance(lu, lv)));

@@ -1,7 +1,5 @@
 //! The fixed-port overlay network simulator.
 
-use std::collections::HashMap;
-
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -26,83 +24,131 @@ impl Header {
 }
 
 /// An undirected overlay network with adversarially permuted fixed ports.
+///
+/// Both directions of the port map are flat CSR tables over one offset
+/// array: node `v`'s entries are `off[v]..off[v + 1]` of each.
 #[derive(Debug)]
 pub struct Network {
-    /// `ports[v][p]` = neighbor reached from `v` through port `p`.
-    ports: Vec<Vec<usize>>,
-    /// `(v, neighbor)` -> port at `v`.
-    port_of: HashMap<(usize, usize), usize>,
+    /// CSR offsets, `n + 1` entries.
+    off: Vec<usize>,
+    /// `targets[off[v] + p]` = neighbor reached from `v` through port `p`.
+    targets: Vec<usize>,
+    /// Per node, `(neighbor, port)` sorted by neighbor, for [`Network::port`].
+    ports: Vec<(usize, usize)>,
+    /// Maximum degree, which sets the port width every route reads.
+    max_degree: usize,
 }
 
 impl Network {
     /// Builds the network over `n` nodes from undirected edges, permuting
-    /// each node's port order with `rng` (the adversary).
+    /// each node's port order with `rng` (the adversary). Self-loops and
+    /// repeated edges are dropped; before the permutation, each node
+    /// lists its neighbors in the order of their first edge.
     pub fn new<R: Rng>(n: usize, edges: &[(usize, usize)], rng: &mut R) -> Self {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut seen = HashMap::new();
+        // Every edge's endpoints, repeats included, bucketed by node in
+        // edge order.
+        let mut raw_off = vec![0usize; n + 1];
         for &(u, v) in edges {
-            if u == v {
-                continue;
-            }
-            let key = (u.min(v), u.max(v));
-            if seen.insert(key, ()).is_none() {
-                adj[u].push(v);
-                adj[v].push(u);
+            if u != v {
+                raw_off[u + 1] += 1;
+                raw_off[v + 1] += 1;
             }
         }
-        let mut ports = Vec::with_capacity(n);
-        let mut port_of = HashMap::new();
-        for (v, mut nb) in adj.into_iter().enumerate() {
-            nb.shuffle(rng);
-            for (p, &w) in nb.iter().enumerate() {
-                port_of.insert((v, w), p);
-            }
-            ports.push(nb);
+        for v in 0..n {
+            raw_off[v + 1] += raw_off[v];
         }
-        Network { ports, port_of }
+        let mut cursor = raw_off.clone();
+        let mut raw = vec![0usize; raw_off[n]];
+        for &(u, v) in edges {
+            if u != v {
+                raw[cursor[u]] = v;
+                cursor[u] += 1;
+                raw[cursor[v]] = u;
+                cursor[v] += 1;
+            }
+        }
+        // Keep each neighbor's first occurrence (`last[w] == v` marks w
+        // as already listed at v), then permute the ports.
+        let mut last = vec![usize::MAX; n];
+        let mut off = Vec::with_capacity(n + 1);
+        off.push(0);
+        let mut targets = Vec::with_capacity(raw.len());
+        for v in 0..n {
+            let start = targets.len();
+            for &w in &raw[raw_off[v]..raw_off[v + 1]] {
+                if last[w] != v {
+                    last[w] = v;
+                    targets.push(w);
+                }
+            }
+            targets[start..].shuffle(rng);
+            off.push(targets.len());
+        }
+        targets.shrink_to_fit();
+        let mut ports: Vec<(usize, usize)> = Vec::with_capacity(targets.len());
+        for v in 0..n {
+            let start = ports.len();
+            ports.extend(
+                targets[off[v]..off[v + 1]]
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &w)| (w, p)),
+            );
+            // Neighbors are distinct, so the unstable sort is exact.
+            ports[start..].sort_unstable();
+        }
+        let max_degree = off.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        Network {
+            off,
+            targets,
+            ports,
+            max_degree,
+        }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.ports.len()
+        self.off.len() - 1
     }
 
     /// Whether the network has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.ports.is_empty()
+        self.len() == 0
     }
 
-    /// The port at `from` leading to `to`.
+    /// The port at `from` leading to `to`, by binary search over
+    /// `from`'s ports sorted by neighbor.
     ///
     /// # Panics
     ///
     /// Panics if the overlay has no `(from, to)` edge.
     pub fn port(&self, from: usize, to: usize) -> usize {
-        *self
-            .port_of
-            .get(&(from, to))
+        let ports = &self.ports[self.off[from]..self.off[from + 1]];
+        match ports.binary_search_by_key(&to, |&(w, _)| w) {
+            Ok(i) => ports[i].1,
             // hopspan:allow(panic-in-lib) -- documented # Panics: port() is a programmer-error API
-            .unwrap_or_else(|| panic!("no overlay edge ({from}, {to})"))
+            Err(_) => panic!("no overlay edge ({from}, {to})"),
+        }
     }
 
     /// The node reached from `v` through port `p`.
     pub fn target(&self, v: usize, p: usize) -> usize {
-        self.ports[v][p]
+        self.targets[self.off[v]..self.off[v + 1]][p]
     }
 
     /// Degree of `v` in the overlay.
     pub fn degree(&self, v: usize) -> usize {
-        self.ports[v].len()
+        self.off[v + 1] - self.off[v]
     }
 
     /// Maximum degree (determines port width in bits).
     pub fn max_degree(&self) -> usize {
-        self.ports.iter().map(|p| p.len()).max().unwrap_or(0)
+        self.max_degree
     }
 
     /// Number of overlay edges.
     pub fn edge_count(&self) -> usize {
-        self.ports.iter().map(|p| p.len()).sum::<usize>() / 2
+        self.targets.len() / 2
     }
 
     /// Bits needed for a port number.
@@ -166,6 +212,32 @@ mod tests {
         let net = Network::new(3, &[(0, 1), (1, 0), (2, 2)], &mut rng);
         assert_eq!(net.edge_count(), 1);
         assert_eq!(net.degree(2), 0);
+    }
+
+    #[test]
+    fn ports_follow_first_occurrence_then_the_shuffle() {
+        // Node 0 first meets 3, then 1, then 2 (the repeats of 1 and 3
+        // are dropped), so its ports are that list shuffled by the same
+        // draws the rng makes for node 0.
+        let edges = [(3, 0), (0, 1), (1, 0), (2, 0), (0, 3), (1, 2)];
+        let net = Network::new(4, &edges, &mut ChaCha8Rng::seed_from_u64(11));
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut want = vec![3, 1, 2];
+        want.shuffle(&mut rng);
+        let got: Vec<usize> = (0..net.degree(0)).map(|p| net.target(0, p)).collect();
+        assert_eq!(got, want);
+        for v in 0..4 {
+            for p in 0..net.degree(v) {
+                assert_eq!(net.port(v, net.target(v, p)), p);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no overlay edge (0, 2)")]
+    fn missing_port_panics() {
+        let net = Network::new(3, &[(0, 1)], &mut ChaCha8Rng::seed_from_u64(7));
+        net.port(0, 2);
     }
 
     #[test]

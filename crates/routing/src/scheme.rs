@@ -264,7 +264,7 @@ impl PerTreeScheme {
         // Cut vertex per non-base node.
         let cut_of = |node: usize| -> usize {
             debug_assert!(!spanner.phi_is_base(node));
-            spanner.phi_inner(node)[0]
+            spanner.phi_inner(node)[0] as usize
         };
         let ports_from_me = |me: usize, cand: &[u32]| -> CutPorts {
             CutPorts {
@@ -523,9 +523,12 @@ impl PerTreeScheme {
 
 /// All tree vertices reachable in the base subgraph of `node`.
 fn base_members(spanner: &TreeHopSpanner, node: usize) -> Vec<usize> {
-    let seeds = spanner.phi_inner(node);
-    let mut seen: HashSet<usize> = seeds.iter().copied().collect();
-    let mut stack: Vec<usize> = seeds.to_vec();
+    let mut stack: Vec<usize> = spanner
+        .phi_inner(node)
+        .iter()
+        .map(|&v| v as usize)
+        .collect();
+    let mut seen: HashSet<usize> = stack.iter().copied().collect();
     let mut out = Vec::new();
     while let Some(v) = stack.pop() {
         out.push(v);

@@ -7,22 +7,36 @@
 //! for the `(k-2)`-construction over the pruned copy `T'` whose required
 //! vertices are the cut vertices (paper line 10 of Algorithm 1).
 //!
-//! All query-time tables are dense `Vec`s indexed by contracted id, Φ
-//! node id, or home slot, and construction itself uses dense
+//! A navigator keeps only what a query reads. Each Φ node is a 16-byte
+//! [`PhiNode`] of `u32` offsets into three per-navigator arenas: the
+//! concatenated inner vertices, the base-case path table (see
+//! [`Navigator::base_path`]) and the [`Contracted`] trees. Neither Φ nor
+//! a contracted tree is kept as a [`RootedTree`]: the query reads a
+//! depth and a parent, and the [`LevelAncestor`] built beside each LCA
+//! structure holds both. Vertex ids, node ids and slots are `u32`, with
+//! [`NONE`] as the "no entry" sentinel. Construction uses dense
 //! per-vertex vectors and one [`Scratch`] shared by every recursive
 //! call. Base-case paths are precomputed here (all ordered pairs per
-//! `HandleBaseCase` leaf), so queries never run the BFS + Bellman–Ford;
-//! see [`BaseTable`].
+//! `HandleBaseCase` leaf), so queries never run the BFS + Bellman–Ford.
 
 use hopspan_treealg::{Lca, LevelAncestor, RootedTree};
 
 use crate::ackermann::alpha_prime;
 use crate::local_tree::{LocalTree, PruneFrame, Shape};
 
+/// The "no entry" sentinel of every `u32` index table.
+pub(crate) const NONE: u32 = u32::MAX;
+
 /// A vertex's navigation pointer: its home Φ node and its slot within
-/// that node's `inner` list (`u.ptr(Φ).h` in the paper, plus the dense
+/// that node's inner list (`u.ptr(Φ).h` in the paper, plus the dense
 /// index replacing per-query map lookups).
-pub(crate) type HomeRef = (usize, u32);
+pub(crate) type HomeRef = (u32, u32);
+
+/// Narrows a vertex id, node id or arena offset to a `u32` table word.
+pub(crate) fn word(x: usize) -> u32 {
+    // hopspan:allow(panic-in-lib) -- tree spanners index vertices, Φ nodes and arena entries by u32; a tree with 2³² vertices does not fit in memory next to its tables
+    u32::try_from(x).expect("tree spanner tables are indexed by u32")
+}
 
 /// What a navigator build leaves for its caller besides the
 /// [`Navigator`]: every required vertex's home, and the base-case
@@ -83,8 +97,6 @@ struct BaseScratch {
     /// Bellman–Ford labels and predecessors, by BFS position.
     dist: Vec<(f64, usize)>,
     pred: Vec<usize>,
-    /// The concatenated paths of the table being built.
-    verts: Vec<usize>,
 }
 
 impl Scratch {
@@ -94,7 +106,7 @@ impl Scratch {
             stamp: 0,
             stack: Vec::new(),
             reach: Vec::new(),
-            home: vec![(usize::MAX, 0); n],
+            home: vec![(NONE, 0); n],
             base: BaseScratch::default(),
             spare: Vec::new(),
             prune_stack: Vec::new(),
@@ -116,73 +128,59 @@ impl Scratch {
 ///
 /// Contracted ids are laid out densely: `[0, rep_count)` are component
 /// representatives (id = component index), `[rep_count, ..)` are cut
-/// vertices (id = `rep_count` + slot in the owning node's `inner`).
+/// vertices (id = `rep_count` + slot in the owning node's inner list,
+/// which therefore doubles as the cut slot -> original id table).
 #[derive(Debug)]
 pub(crate) struct Contracted {
-    /// The quotient tree itself (unit weights).
-    pub tree: RootedTree,
-    /// LCA structure over [`Contracted::tree`].
+    /// LCA structure over the quotient tree.
     pub lca: Lca,
-    /// Level-ancestor structure over [`Contracted::tree`].
+    /// Level-ancestor structure over the quotient tree; it also answers
+    /// the tree's depths and parents.
     pub la: LevelAncestor,
     /// Number of component representatives; every contracted id at or
     /// above this is a cut vertex.
-    pub rep_count: usize,
-    /// Cut slot -> original vertex id.
-    pub cut_orig: Vec<usize>,
-    /// Cut slot -> home pointer inside the sub-navigator (`k ≥ 4` only;
-    /// empty for `k = 3`, which connects cut vertices by a clique).
-    pub cut_sub_home: Vec<HomeRef>,
+    pub rep_count: u32,
+    /// The `(k-2)`-construction over the cut vertices (`k ≥ 4` only;
+    /// `k = 3` connects cut vertices by a clique).
+    pub sub: Option<Box<Sub>>,
 }
 
-/// Precomputed base-case paths: for a `HandleBaseCase` leaf with `m`
-/// required members, the min-weight (then min-hop) path for every
-/// ordered member pair, flattened. The paths are produced at build time
-/// by the exact BFS + lexicographic Bellman–Ford the queries used to
-/// run, so lookups are bit-identical to the former per-query search.
+/// A non-base node's sub-hierarchy (`k ≥ 4`).
 #[derive(Debug)]
-pub(crate) struct BaseTable {
-    /// Number of required members (`inner.len()` of the owning node).
-    pub m: usize,
-    /// `m² + 1` offsets into [`BaseTable::verts`].
-    pub offsets: Vec<u32>,
-    /// Concatenated paths (original vertex ids).
-    pub verts: Vec<usize>,
+pub(crate) struct Sub {
+    /// The `(k-2)`-navigator over the pruned copy `T'`.
+    pub nav: Navigator,
+    /// Cut slot -> home pointer inside [`Sub::nav`].
+    pub cut_home: Vec<HomeRef>,
 }
 
-impl BaseTable {
-    /// The path between member slots `su` and `sv`.
-    #[inline]
-    pub fn path(&self, su: u32, sv: u32) -> &[usize] {
-        let cell = su as usize * self.m + sv as usize;
-        &self.verts[self.offsets[cell] as usize..self.offsets[cell + 1] as usize]
-    }
-}
-
-/// One node of the augmented recursion tree Φ.
-#[derive(Debug)]
+/// One node of the augmented recursion tree Φ: offsets into the owning
+/// [`Navigator`]'s arenas.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PhiNode {
-    /// Inner vertices (original ids): the cut vertices of this call, or
-    /// the required vertices of a base case.
-    pub inner: Vec<usize>,
-    /// All-pairs path table (`HandleBaseCase` leaves only).
-    pub base: Option<BaseTable>,
-    /// Contracted tree (`k ≥ 3`, non-base nodes), boxed: most Φ nodes
-    /// are base-case leaves and should not reserve its inline size.
-    pub contracted: Option<Box<Contracted>>,
-    /// Sub-navigator for the `(k-2)`-construction (`k ≥ 4`, non-base).
-    pub sub: Option<Box<Navigator>>,
+    /// Start of the node's inner vertices in [`Navigator::inner`]: the
+    /// cut vertices of this call, or the required vertices of a base
+    /// case.
+    pub inner: u32,
+    /// Number of inner vertices.
+    pub len: u32,
+    /// `HandleBaseCase` leaves: start of the node's `len²` path cells
+    /// in [`Navigator::base_off`]; [`NONE`] otherwise.
+    pub base: u32,
+    /// Non-base nodes with `k ≥ 3`: index into
+    /// [`Navigator::contracted`]; [`NONE`] otherwise.
+    pub contracted: u32,
 }
 
 // Every Φ node of every tree pays this size, and most are base-case
-// leaves: keep the optional parts boxed.
-const _: () = assert!(std::mem::size_of::<PhiNode>() <= 128);
+// leaves: keep the record to four words.
+const _: () = assert!(std::mem::size_of::<PhiNode>() <= 20);
 
 impl PhiNode {
     /// Whether this node is a `HandleBaseCase` leaf.
     #[inline]
     pub fn is_base(&self) -> bool {
-        self.base.is_some()
+        self.base != NONE
     }
 }
 
@@ -190,41 +188,94 @@ impl PhiNode {
 ///
 /// Homes are not stored here: the caller passes each endpoint's
 /// [`HomeRef`] into the query (densified at the top level, read from
-/// [`Contracted::cut_sub_home`] when recursing), so sub-navigators carry
-/// no per-vertex tables at all.
+/// [`Sub::cut_home`] when recursing), so sub-navigators carry no
+/// per-vertex tables at all.
 #[derive(Debug)]
 pub(crate) struct Navigator {
     /// Hop budget of this construction level.
     pub k: usize,
-    /// Φ nodes, indexed by vertex id of [`Navigator::phi`].
+    /// Φ nodes, indexed by Φ node id.
     pub nodes: Vec<PhiNode>,
-    /// The augmented recursion tree Φ (unit weights).
-    pub phi: RootedTree,
+    /// Every node's inner vertices (original ids), concatenated in node
+    /// order.
+    pub inner: Vec<u32>,
+    /// Base-case path offsets into [`Navigator::base_verts`]: `m²`
+    /// cells per base node (`m` = its inner count), row-major by member
+    /// slot pair, appended in node order, plus one closing entry. Cell
+    /// `c` of the node at `base` spans
+    /// `base_verts[base_off[base + c]..base_off[base + c + 1]]`, so a
+    /// node's last cell ends where the next one's first begins.
+    pub base_off: Vec<u32>,
+    /// The concatenated base-case paths (original ids): for each base
+    /// node and ordered pair of its members, the min-weight (then
+    /// min-hop) path over the base spanner, produced at build time by
+    /// the exact BFS + lexicographic Bellman–Ford the queries used to
+    /// run.
+    pub base_verts: Vec<u32>,
+    /// Contracted trees of the non-base nodes (`k ≥ 3`).
+    pub contracted: Vec<Contracted>,
     /// LCA structure over Φ.
     pub phi_lca: Lca,
-    /// Level-ancestor structure over Φ.
+    /// Level-ancestor structure over Φ; it also answers Φ's depths and
+    /// parents.
     pub phi_la: LevelAncestor,
     /// Φ node id -> index of its component within the parent's
     /// contracted tree (= its representative's contracted id);
-    /// `usize::MAX` for the root.
-    pub comp_of_node: Vec<usize>,
+    /// [`NONE`] for the root.
+    pub comp_of_node: Vec<u32>,
 }
 
-#[derive(Default)]
+impl Navigator {
+    /// The inner vertices of `node`.
+    #[inline]
+    pub fn inner_of(&self, node: PhiNode) -> &[u32] {
+        let at = node.inner as usize;
+        &self.inner[at..at + node.len as usize]
+    }
+
+    /// The base-case path between member slots `su` and `sv` of the
+    /// base node `node`.
+    #[inline]
+    pub fn base_path(&self, node: PhiNode, su: u32, sv: u32) -> &[u32] {
+        let cell = node.base as usize + su as usize * node.len as usize + sv as usize;
+        &self.base_verts[self.base_off[cell] as usize..self.base_off[cell + 1] as usize]
+    }
+}
+
+/// One navigator under construction: Φ's parent pointers, its node
+/// records and arenas, and the build output.
 struct Builder {
     parents: Vec<Option<usize>>,
-    comp_of_node: Vec<usize>,
+    comp_of_node: Vec<u32>,
     nodes: Vec<PhiNode>,
+    inner: Vec<u32>,
+    base_off: Vec<u32>,
+    base_verts: Vec<u32>,
+    contracted: Vec<Contracted>,
     out: BuildOutput,
 }
 
 impl Builder {
-    fn new_node(&mut self, node: PhiNode) -> usize {
+    /// Adds a Φ node whose inner vertices are `inner`; returns its id.
+    fn new_node(&mut self, inner: impl Iterator<Item = usize>) -> usize {
+        let start = self.inner.len();
+        self.inner.extend(inner.map(word));
         self.parents.push(None);
-        self.comp_of_node.push(usize::MAX);
-        self.nodes.push(node);
+        self.comp_of_node.push(NONE);
+        self.nodes.push(PhiNode {
+            inner: word(start),
+            len: word(self.inner.len() - start),
+            base: NONE,
+            contracted: NONE,
+        });
         self.nodes.len() - 1
     }
+}
+
+/// LCA and level-ancestor structures over `tree`, which the caller then
+/// drops: the level-ancestor structure answers its depths and parents.
+pub(crate) fn preprocess(tree: &RootedTree) -> (Lca, LevelAncestor) {
+    (Lca::new(tree), LevelAncestor::new(tree))
 }
 
 /// Builds a navigator (and appends spanner edges) for the pruned tree
@@ -237,26 +288,48 @@ pub(crate) fn build_navigator(
     scratch: &mut Scratch,
 ) -> (Navigator, BuildOutput) {
     debug_assert!(k >= 2);
-    let mut b = Builder::default();
+    let mut b = Builder {
+        parents: Vec::new(),
+        comp_of_node: Vec::new(),
+        nodes: Vec::new(),
+        inner: Vec::new(),
+        base_off: vec![0],
+        base_verts: Vec::new(),
+        contracted: Vec::new(),
+        out: BuildOutput::default(),
+    };
     let root = build_call(&mut b, t, k, edges, scratch);
-    let n = b.nodes.len();
-    let weights = vec![1.0; n];
+    let weights = vec![1.0; b.nodes.len()];
     let phi = RootedTree::from_parents(root, &b.parents, &weights)
         // hopspan:allow(panic-in-lib) -- parents come from Builder::new_node, consistent by construction
         .expect("recursion tree parents are consistent");
-    let phi_lca = Lca::new(&phi);
-    let phi_la = LevelAncestor::new(&phi);
-    (
-        Navigator {
-            k,
-            nodes: b.nodes,
-            phi,
-            phi_lca,
-            phi_la,
-            comp_of_node: b.comp_of_node,
-        },
-        b.out,
-    )
+    let (phi_lca, phi_la) = preprocess(&phi);
+    let mut nav = Navigator {
+        k,
+        nodes: b.nodes,
+        inner: b.inner,
+        base_off: b.base_off,
+        base_verts: b.base_verts,
+        contracted: b.contracted,
+        phi_lca,
+        phi_la,
+        comp_of_node: b.comp_of_node,
+    };
+    nav.shrink_to_fit();
+    (nav, b.out)
+}
+
+impl Navigator {
+    /// Trims every arena to its length: a navigator is immutable once
+    /// built, so growth slack is dead weight.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+        self.inner.shrink_to_fit();
+        self.base_off.shrink_to_fit();
+        self.base_verts.shrink_to_fit();
+        self.contracted.shrink_to_fit();
+        self.comp_of_node.shrink_to_fit();
+    }
 }
 
 /// One recursive call of `PreprocessTree` on the pruned tree `t`;
@@ -277,17 +350,10 @@ fn build_call(
     let ell = usize::try_from(alpha_prime(k - 2, n_req as u128)).expect("ℓ fits usize");
     let cuts = t.decompose(&shape, ell);
     debug_assert!(!cuts.is_empty(), "n_req > ℓ forces at least one cut");
-    let beta = b.new_node(PhiNode {
-        inner: cuts.iter().map(|&c| t.orig[c]).collect(),
-        base: None,
-        contracted: None,
-        sub: None,
-    });
+    let beta = b.new_node(cuts.iter().map(|&c| t.orig[c]));
     for (i, &c) in cuts.iter().enumerate() {
         if t.required[c] {
-            // hopspan:allow(panic-in-lib) -- |CV| ≤ n/2 < 2³² for any feasible input
-            let slot = u32::try_from(i).expect("slot fits u32");
-            b.out.homes.push((t.orig[c], (beta, slot)));
+            b.out.homes.push((t.orig[c], (word(beta), word(i))));
         }
     }
     let mut is_cut = vec![false; t.len()];
@@ -311,7 +377,6 @@ fn build_call(
     // E' (lines 6-10): interconnect the cut vertices, over the copy T'
     // of T whose required vertices are exactly the cut vertices.
     let mut sub = None;
-    let mut cut_sub_home = Vec::new();
     if k >= 3 {
         // hopspan:allow(panic-in-lib) -- decompose returned at least one cut above
         let t_cv = t.prune(&shape, &is_cut).expect("cut set is non-empty");
@@ -343,8 +408,8 @@ fn build_call(
             for &(v, home) in &out.homes {
                 scratch.home[v] = home;
             }
-            cut_sub_home = cuts.iter().map(|&c| scratch.home[t.orig[c]]).collect();
-            sub = Some(Box::new(nav));
+            let cut_home = cuts.iter().map(|&c| scratch.home[t.orig[c]]).collect();
+            sub = Some(Box::new(Sub { nav, cut_home }));
         }
     }
 
@@ -361,7 +426,7 @@ fn build_call(
         let child = build_call(b, &comp, k, edges, scratch);
         scratch.spare.push(comp);
         b.parents[child] = Some(beta);
-        b.comp_of_node[child] = i;
+        b.comp_of_node[child] = word(i);
     }
     let mut ct_id = comps.comp_id;
 
@@ -391,18 +456,15 @@ fn build_call(
         let ct_tree = RootedTree::from_edges(p + cuts.len(), ct_id[t.root], &ct_edges)
             // hopspan:allow(panic-in-lib) -- the quotient of a tree by connected components is a tree
             .expect("quotient of a tree is a tree");
-        let lca = Lca::new(&ct_tree);
-        let la = LevelAncestor::new(&ct_tree);
-        b.nodes[beta].contracted = Some(Box::new(Contracted {
-            tree: ct_tree,
+        let (lca, la) = preprocess(&ct_tree);
+        b.nodes[beta].contracted = word(b.contracted.len());
+        b.contracted.push(Contracted {
             lca,
             la,
-            rep_count: p,
-            cut_orig: cuts.iter().map(|&c| t.orig[c]).collect(),
-            cut_sub_home,
-        }));
+            rep_count: word(p),
+            sub,
+        });
     }
-    b.nodes[beta].sub = sub;
     beta
 }
 
@@ -437,27 +499,23 @@ fn handle_base_case(
     b.out.base_members.extend_from_slice(&t.orig);
     s.inner.clear();
     s.inner.extend((0..t.len()).filter(|&v| t.required[v]));
-    let base = base_table(s, &t.orig);
-    let node = b.new_node(PhiNode {
-        inner: s.inner.iter().map(|&v| t.orig[v]).collect(),
-        base: Some(base),
-        contracted: None,
-        sub: None,
-    });
-    for (i, &u) in b.nodes[node].inner.iter().enumerate() {
-        // hopspan:allow(panic-in-lib) -- base cases have ≤ k + 1 members, far below 2³²
-        let slot = u32::try_from(i).expect("slot fits u32");
-        b.out.homes.push((u, (node, slot)));
+    let node = b.new_node(s.inner.iter().map(|&v| t.orig[v]));
+    b.nodes[node].base = word(b.base_off.len() - 1);
+    base_table(s, &t.orig, &mut b.base_off, &mut b.base_verts);
+    for (i, &v) in s.inner.iter().enumerate() {
+        b.out.homes.push((t.orig[v], (word(node), word(i))));
     }
     node
 }
 
-/// Precomputes the min-weight (then min-hop) path for every ordered pair
-/// of base members `s.inner` over the base graph `s.edges`, as original
-/// ids. One BFS and one lexicographic Bellman–Ford per source serve every
-/// destination: neither depends on the destination, so each path is the
-/// one a per-pair search from the same source finds.
-fn base_table(s: &mut BaseScratch, orig: &[usize]) -> BaseTable {
+/// Appends the min-weight (then min-hop) path for every ordered pair of
+/// base members `s.inner` over the base graph `s.edges`, as original
+/// ids, to the arenas `verts`, with one closing offset per path to
+/// `offsets` (see [`Navigator::base_off`]). One BFS and one
+/// lexicographic Bellman–Ford per source serve every destination:
+/// neither depends on the destination, so each path is the one a
+/// per-pair search from the same source finds.
+fn base_table(s: &mut BaseScratch, orig: &[usize], offsets: &mut Vec<u32>, verts: &mut Vec<u32>) {
     let BaseScratch {
         edges,
         off,
@@ -467,7 +525,6 @@ fn base_table(s: &mut BaseScratch, orig: &[usize]) -> BaseTable {
         pos,
         dist,
         pred,
-        verts,
     } = s;
     let nv = orig.len();
     // CSR adjacency; see `LocalTree::shape` for the two-up counting.
@@ -489,10 +546,6 @@ fn base_table(s: &mut BaseScratch, orig: &[usize]) -> BaseTable {
         off[v + 1] += 1;
     }
     let neighbors = |v: usize| &nbr[off[v]..off[v + 1]];
-    let m = inner.len();
-    let mut offsets = Vec::with_capacity(m * m + 1);
-    offsets.push(0u32);
-    verts.clear();
     pos.clear();
     pos.resize(nv, usize::MAX);
     order.clear();
@@ -549,21 +602,15 @@ fn base_table(s: &mut BaseScratch, orig: &[usize]) -> BaseTable {
             let dst = pos[v];
             debug_assert!(dist[dst].0.is_finite(), "base case is connected");
             let at = verts.len();
-            verts.push(orig[order[dst]]);
+            verts.push(word(orig[order[dst]]));
             let mut cur = dst;
             while cur != 0 {
                 cur = pred[cur];
-                verts.push(orig[order[cur]]);
+                verts.push(word(orig[order[cur]]));
             }
             verts[at..].reverse();
-            // hopspan:allow(panic-in-lib) -- ≤ (k+1)² paths of ≤ 2k+1 vertices each
-            offsets.push(u32::try_from(verts.len()).expect("base table fits u32"));
+            offsets.push(word(verts.len()));
         }
-    }
-    BaseTable {
-        m,
-        offsets,
-        verts: verts.to_vec(),
     }
 }
 

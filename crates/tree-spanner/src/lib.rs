@@ -49,7 +49,7 @@ use std::fmt;
 
 use hopspan_treealg::RootedTree;
 
-use construct::Navigator;
+use construct::{Navigator, NONE};
 use local_tree::LocalTree;
 
 /// Error type for [`TreeHopSpanner`] construction and queries.
@@ -108,9 +108,9 @@ pub struct TreeHopSpanner {
     required: Vec<bool>,
     edges: Vec<(usize, usize, f64)>,
     nav: Navigator,
-    /// Dense home table: vertex -> home Φ node (`usize::MAX` when the
-    /// vertex is Steiner or out of range).
-    home_node: Vec<usize>,
+    /// Dense home table: vertex -> home Φ node ([`NONE`] when the
+    /// vertex is Steiner).
+    home_node: Vec<u32>,
     /// Dense home slot: vertex -> index within its home node's `inner`.
     home_slot: Vec<u32>,
     /// CSR offsets into [`TreeHopSpanner::base_nbr`] (`n + 1` entries).
@@ -198,7 +198,7 @@ impl TreeHopSpanner {
             construct::build_navigator(&pruned, k, &mut edges, &mut construct::Scratch::new(n));
         let edges = dedup_edges(edges, n);
         // Densify the build output into flat per-vertex tables.
-        let mut home_node = vec![usize::MAX; n];
+        let mut home_node = vec![NONE; n];
         let mut home_slot = vec![0u32; n];
         for (v, (h, s)) in out.homes {
             home_node[v] = h;
@@ -332,17 +332,17 @@ impl TreeHopSpanner {
             return Err(TreeSpannerError::NotRequired { vertex: v });
         }
         // Required vertices always receive a home during construction.
+        debug_assert!(self.home_node[u] != NONE && self.home_node[v] != NONE);
         let hu = navigate::Homed {
             vertex: u,
-            node: self.home_node[u],
+            node: self.home_node[u] as usize,
             slot: self.home_slot[u],
         };
         let hv = navigate::Homed {
             vertex: v,
-            node: self.home_node[v],
+            node: self.home_node[v] as usize,
             slot: self.home_slot[v],
         };
-        debug_assert!(hu.node != usize::MAX && hv.node != usize::MAX);
         self.nav.find_path_into(hu, hv, out);
         Ok(())
     }
@@ -394,17 +394,17 @@ impl TreeHopSpanner {
         }
         for v in 0..n {
             let h = self.home_node[v];
-            if h == usize::MAX {
+            if h == NONE {
                 if self.required[v] {
                     return corrupt("required vertex without a home");
                 }
                 continue;
             }
-            let Some(node) = self.nav.nodes.get(h) else {
+            let Some(&node) = self.nav.nodes.get(h as usize) else {
                 return corrupt("home node out of range");
             };
-            match node.inner.get(self.home_slot[v] as usize) {
-                Some(&stored) if stored == v => {}
+            match self.nav.inner_of(node).get(self.home_slot[v] as usize) {
+                Some(&stored) if stored as usize == v => {}
                 Some(_) => return corrupt("home slot points at a different vertex"),
                 None => return corrupt("home slot out of range"),
             }
@@ -431,8 +431,8 @@ impl TreeHopSpanner {
     /// Depth of the augmented recursion tree Φ (Observation 3.1 bounds
     /// this by `O(α_k(n))`).
     pub fn recursion_depth(&self) -> usize {
-        (0..self.nav.phi.len())
-            .map(|i| self.nav.phi.depth(i))
+        (0..self.nav.phi_la.len())
+            .map(|i| self.nav.phi_la.depth(i))
             .max()
             .unwrap_or(0)
             + 1
@@ -447,19 +447,19 @@ impl TreeHopSpanner {
     /// sub-hierarchies).
     pub fn home_node(&self, v: usize) -> Option<usize> {
         match self.home_node.get(v) {
-            Some(&h) if h != usize::MAX => Some(h),
+            Some(&h) if h != NONE => Some(h as usize),
             _ => None,
         }
     }
 
     /// Parent of a Φ node (None for the root).
     pub fn phi_parent(&self, node: usize) -> Option<usize> {
-        self.nav.phi.parent(node)
+        self.nav.phi_la.parent(node)
     }
 
     /// Depth of a Φ node.
     pub fn phi_depth(&self, node: usize) -> usize {
-        self.nav.phi.depth(node)
+        self.nav.phi_la.depth(node)
     }
 
     /// Whether a Φ node is a `HandleBaseCase` leaf.
@@ -468,14 +468,15 @@ impl TreeHopSpanner {
     }
 
     /// The inner vertices of a Φ node: its cut vertices (a single one for
-    /// `k = 2`), or the required members of a base case.
-    pub fn phi_inner(&self, node: usize) -> &[usize] {
-        &self.nav.nodes[node].inner
+    /// `k = 2`), or the required members of a base case. Vertex ids are
+    /// stored as `u32` words.
+    pub fn phi_inner(&self, node: usize) -> &[u32] {
+        self.nav.inner_of(self.nav.nodes[node])
     }
 
     /// Number of Φ nodes in the top hierarchy.
     pub fn phi_node_count(&self) -> usize {
-        self.nav.phi.len()
+        self.nav.nodes.len()
     }
 
     /// The base-case spanner adjacency of vertex `v` (present for
@@ -491,12 +492,12 @@ impl TreeHopSpanner {
     /// hierarchies.
     pub fn recursion_node_count(&self) -> usize {
         fn count(nav: &Navigator) -> usize {
-            nav.phi.len()
+            nav.nodes.len()
                 + nav
-                    .nodes
+                    .contracted
                     .iter()
-                    .filter_map(|n| n.sub.as_deref())
-                    .map(count)
+                    .filter_map(|c| c.sub.as_deref())
+                    .map(|s| count(&s.nav))
                     .sum::<usize>()
         }
         count(&self.nav)
@@ -815,7 +816,7 @@ mod tests {
         );
 
         let mut sp = fresh();
-        sp.home_node[5] = usize::MAX;
+        sp.home_node[5] = NONE;
         assert_eq!(what(sp), "required vertex without a home");
 
         let mut sp = fresh();

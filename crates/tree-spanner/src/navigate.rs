@@ -5,7 +5,8 @@
 //! indices, precomputed base-case paths), and the output is appended to
 //! a caller-owned buffer. Each endpoint's home pointer is supplied by
 //! the caller — densified at the top level, read from
-//! [`Contracted::cut_sub_home`] when recursing into a sub-navigator.
+//! [`Sub::cut_home`](crate::construct::Sub::cut_home) when recursing
+//! into a sub-navigator.
 
 use crate::construct::{Contracted, Navigator};
 
@@ -40,28 +41,26 @@ impl Navigator {
             out.push(u.vertex);
             return;
         }
-        let node_u = &self.nodes[u.node];
+        let node_u = self.nodes[u.node];
         // Base case: both endpoints in the same HandleBaseCase leaf.
-        if u.node == v.node {
-            if let Some(base) = &node_u.base {
-                out.extend_from_slice(base.path(u.slot, v.slot));
-                return;
-            }
+        if u.node == v.node && node_u.is_base() {
+            let path = self.base_path(node_u, u.slot, v.slot);
+            out.extend(path.iter().map(|&x| x as usize));
+            return;
         }
         let beta = self.phi_lca.lca(u.node, v.node);
-        let node = &self.nodes[beta];
+        let node = self.nodes[beta];
+        let inner = self.inner_of(node);
         if self.k == 2 {
             // β corresponds to a single cut vertex (|CV| = 1 for k = 2).
             out.push(u.vertex);
-            out.push(node.inner[0]);
+            out.push(inner[0] as usize);
             out.push(v.vertex);
             return;
         }
-        let ct = node
-            .contracted
-            .as_deref()
-            // hopspan:allow(panic-in-lib) -- build_call always attaches a contracted tree for k ≥ 3
-            .expect("non-base node with k >= 3 has a contracted tree");
+        // build_call attaches a contracted tree to every non-base node
+        // for k ≥ 3.
+        let ct = &self.contracted[node.contracted as usize];
         let u_cv = self.locate_contracted(u.node, u.slot, beta, ct);
         let v_cv = self.locate_contracted(v.node, v.slot, beta, ct);
         debug_assert_ne!(
@@ -69,39 +68,35 @@ impl Navigator {
             "distinct homes map to distinct quotient vertices"
         );
         let c = ct.lca.lca(u_cv, v_cv);
-        let x_cv = find_cut(u.node, beta, u_cv, v_cv, ct, c);
-        let y_cv = find_cut(v.node, beta, v_cv, u_cv, ct, c);
-        let x = ct.cut_orig[x_cv - ct.rep_count];
-        let y = ct.cut_orig[y_cv - ct.rep_count];
-        if self.k == 3 {
-            out.push(u.vertex);
-            out.push(x);
-            out.push(y);
-            out.push(v.vertex);
-        } else {
-            let sub = node
-                .sub
-                .as_ref()
-                // hopspan:allow(panic-in-lib) -- build_call always attaches a sub-navigator for k ≥ 4
-                .expect("non-base node with k >= 4 has a sub-navigator");
-            let (hx, sx) = ct.cut_sub_home[x_cv - ct.rep_count];
-            let (hy, sy) = ct.cut_sub_home[y_cv - ct.rep_count];
-            out.push(u.vertex);
-            sub.find_path_inner(
-                Homed {
-                    vertex: x,
-                    node: hx,
-                    slot: sx,
-                },
-                Homed {
-                    vertex: y,
-                    node: hy,
-                    slot: sy,
-                },
-                out,
-            );
-            out.push(v.vertex);
+        let x_slot = find_cut(u.node, beta, u_cv, v_cv, ct, c) - ct.rep_count as usize;
+        let y_slot = find_cut(v.node, beta, v_cv, u_cv, ct, c) - ct.rep_count as usize;
+        let x = inner[x_slot] as usize;
+        let y = inner[y_slot] as usize;
+        out.push(u.vertex);
+        match &ct.sub {
+            None => {
+                out.push(x);
+                out.push(y);
+            }
+            Some(sub) => {
+                let (hx, sx) = sub.cut_home[x_slot];
+                let (hy, sy) = sub.cut_home[y_slot];
+                sub.nav.find_path_inner(
+                    Homed {
+                        vertex: x,
+                        node: hx as usize,
+                        slot: sx,
+                    },
+                    Homed {
+                        vertex: y,
+                        node: hy as usize,
+                        slot: sy,
+                    },
+                    out,
+                );
+            }
         }
+        out.push(v.vertex);
     }
 
     /// `LocateContracted` (Algorithm 2): the vertex of 𝒯_β corresponding
@@ -109,10 +104,10 @@ impl Navigator {
     /// the representative of the component containing `u`.
     fn locate_contracted(&self, hu: usize, su: u32, beta: usize, ct: &Contracted) -> usize {
         if hu == beta {
-            ct.rep_count + su as usize
+            ct.rep_count as usize + su as usize
         } else {
-            let child = self.phi_la.level_ancestor(hu, self.phi.depth(beta) + 1);
-            self.comp_of_node[child]
+            let child = self.phi_la.level_ancestor(hu, self.phi_la.depth(beta) + 1);
+            self.comp_of_node[child] as usize
         }
     }
 }
@@ -127,10 +122,10 @@ fn find_cut(hu: usize, beta: usize, u_cv: usize, v_cv: usize, ct: &Contracted, c
         ct.la.child_toward(u_cv, v_cv)
     } else {
         // hopspan:allow(panic-in-lib) -- u_cv ≠ c, and only the LCA can be the contracted root here
-        ct.tree.parent(u_cv).expect("non-LCA vertex has a parent")
+        ct.la.parent(u_cv).expect("non-LCA vertex has a parent")
     };
     debug_assert!(
-        first >= ct.rep_count,
+        first >= ct.rep_count as usize,
         "representatives are only adjacent to cut vertices"
     );
     first

@@ -138,12 +138,48 @@ impl LevelAncestor {
                 jump.push(jump[prev + half]);
             }
         }
+        ladders.shrink_to_fit();
         LevelAncestor {
             depth,
             jump,
             ladders,
             ladder_at,
         }
+    }
+
+    /// Number of vertices of the preprocessed tree.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.depth.len()
+    }
+
+    /// Whether the preprocessed tree is empty (never true for a tree
+    /// built by [`RootedTree`]).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.depth.is_empty()
+    }
+
+    /// Hop depth of `v` (0 for the root).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn depth(&self, v: usize) -> usize {
+        self.depth[v] as usize
+    }
+
+    /// Parent of `v`, or `None` for the root: the first jump row, so
+    /// the tree's parent pointers need not be kept beside this
+    /// structure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn parent(&self, v: usize) -> Option<usize> {
+        (self.depth[v] > 0).then(|| self.jump[v] as usize)
     }
 
     /// The ancestor of `v` at depth `d` (so `level_ancestor(v, depth(v))`
@@ -288,6 +324,21 @@ mod tests {
         // vertex and one extension vertex each.
         let star: Vec<_> = (1..n).map(|v| (0, v, 1.0)).collect();
         check_all(&RootedTree::from_edges(n, 0, &star).unwrap());
+    }
+
+    #[test]
+    fn depth_and_parent_match_the_tree() {
+        let n = 40;
+        let edges: Vec<_> = (1..n).map(|v| ((v * 7 + 3) % v, v, 1.0)).collect();
+        for root in [0, 17] {
+            let t = RootedTree::from_edges(n, root, &edges).unwrap();
+            let la = LevelAncestor::new(&t);
+            assert_eq!(la.len(), n);
+            for v in 0..n {
+                assert_eq!(la.depth(v), t.depth(v), "v={v}");
+                assert_eq!(la.parent(v), t.parent(v), "v={v}");
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! Workloads 1 and 4 also pin the edge lists the queries run over
 //! (endpoints and weight bits), so a change to how construction merges
 //! or deduplicates edges shows even where every answer is unchanged.
+//! A third test pins `TreeHopSpanner::to_parts()` itself, the exchange
+//! form the snapshot store persists, so a change to the in-memory
+//! layout of a tree spanner cannot change a snapshot byte.
 //!
 //! The constants below were computed against the pre-flattening
 //! implementation (BTreeMap-backed `Navigator`, per-query base-case
@@ -64,6 +67,10 @@ const GOLDEN_ROUTE_PLANAR: u64 = 0x66ec_0417_efa3_c193;
 /// Hash of the fault-tolerant routing workload (f = 1, both policies),
 /// re-pinned with `GOLDEN_DOUBLING` for the first-fit pairing cover.
 const GOLDEN_ROUTE_FT: u64 = 0xf577_580c_59e6_70a1;
+
+/// Hash of the `Debug` form of `TreeHopSpanner::to_parts()` over random
+/// trees, k = 2..=6, with and without Steiner vertices.
+const GOLDEN_SPANNER_PARTS: u64 = 0xbec0_5508_8caf_ef39;
 
 fn push_path(out: &mut String, u: usize, v: usize, path: &[usize]) {
     out.push_str(&format!("{u} {v}:"));
@@ -142,6 +149,37 @@ fn hash_tree_workload() -> (u64, u64) {
         }
     }
     (fnv1a(out.as_bytes()), fnv1a(edges.as_bytes()))
+}
+
+/// Every field of `to_parts()` (Φ and contracted trees with their
+/// weights, root entries and sentinels included) over random trees of
+/// several sizes, every `k` in 2..=6, all vertices required and about
+/// two thirds required (Steiner trees).
+fn hash_spanner_parts() -> u64 {
+    let mut out = String::new();
+    let mut s = 0x5EED_0026u64;
+    for k in 2..=6usize {
+        for n in [1usize, 7, 40, 150] {
+            let tree = random_tree(n, 0xA5A5 + (n as u64) * 131 + k as u64);
+            let steiner: Vec<bool> = (0..n)
+                .map(|_| {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    !s.is_multiple_of(3)
+                })
+                .collect();
+            for required in [vec![true; n], steiner] {
+                if !required.contains(&true) {
+                    continue;
+                }
+                let sp = TreeHopSpanner::with_required(&tree, &required, k)
+                    .expect("tree spanner builds");
+                out.push_str(&format!("k={k} n={n}\n{:?}\n", sp.to_parts()));
+            }
+        }
+    }
+    fnv1a(out.as_bytes())
 }
 
 /// Workload 2: doubling cover over seeded uniform points (min-distance
@@ -370,4 +408,17 @@ fn routing_traces_match_golden_hashes() {
             "{name} routing traces drifted from the golden hash (got 0x{got:016x})"
         );
     }
+}
+
+#[test]
+fn spanner_parts_match_golden_hash() {
+    let parts = hash_spanner_parts();
+    if std::env::var("HOPSPAN_GOLDEN_PRINT").is_ok() {
+        println!("const GOLDEN_SPANNER_PARTS: u64 = 0x{parts:016x};");
+        return;
+    }
+    assert_eq!(
+        parts, GOLDEN_SPANNER_PARTS,
+        "tree spanner parts drifted from the golden hash (got 0x{parts:016x})"
+    );
 }
