@@ -15,27 +15,37 @@ use std::process::ExitCode;
 
 use hopspan_bench::experiments::{all, Experiment};
 
-/// System allocator wrapper that counts allocation events into the
-/// `hopspan_bench::allocs` hook. `dealloc` is pass-through: E22 and E24
-/// report allocation *events* per query, the metric the zero-alloc
-/// query and serving paths are judged by.
+/// System allocator wrapper that counts allocation events and live
+/// bytes into the `hopspan_bench::allocs` hooks. E22 and E24 report
+/// allocation *events* per query, the metric the zero-alloc query and
+/// serving paths are judged by; E25 reports the live bytes a navigator
+/// retains.
 struct CountingAlloc;
 
-// SAFETY: defers entirely to `System`; the counter update is a relaxed
-// atomic increment and cannot re-enter the allocator.
+// SAFETY: defers entirely to `System`; the counter updates are relaxed
+// atomic adds and cannot re-enter the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         hopspan_bench::allocs::record();
-        unsafe { System.alloc(layout) }
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            hopspan_bench::allocs::resize(layout.size() as i64);
+        }
+        p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
+        unsafe { System.dealloc(ptr, layout) };
+        hopspan_bench::allocs::resize(-(layout.size() as i64));
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         hopspan_bench::allocs::record();
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            hopspan_bench::allocs::resize(new_size as i64 - layout.size() as i64);
+        }
+        p
     }
 }
 

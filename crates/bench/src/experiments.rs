@@ -2492,12 +2492,16 @@ fn e25_cell(n: usize) -> E25Cell {
     // The rebuild baseline is the serve boot path: the budgeted
     // general-metric navigator `Backend::build` uses (tree budget 12,
     // k = 3), so the speedup below is what a restarting server gains.
+    let live_before = crate::allocs::live();
     let (nav, build) = time(|| {
         let mut brng = rng(crate::SEED ^ n as u64);
         MetricNavigator::general_budgeted(&points, 12, 3, &mut brng)
             .expect("budgeted navigator builds")
             .0
     });
+    // The navigator's measured retained heap (0 without the `exp`
+    // binary's counting allocator).
+    let live_bytes = u64::try_from(crate::allocs::live() - live_before).unwrap_or(0);
     let path = std::env::temp_dir().join(format!("hopspan-e25-{}-{n}.hsnp", std::process::id()));
     let (digest, write) =
         time(|| store::write_snapshot_file(&path, &points, &nav, None).expect("snapshot writes"));
@@ -2506,7 +2510,6 @@ fn e25_cell(n: usize) -> E25Cell {
     let _ = std::fs::remove_file(&path);
     assert_eq!(digest, read_digest, "write/read digests must agree");
     let hx_match = store::hx_hash(&snap.navigator) == store::hx_hash(&nav);
-    let live_bytes = store::flat_live_bytes(&nav.to_parts());
     let speedup = build.as_secs_f64() / load.as_secs_f64().max(1e-9);
     E25Cell {
         n,
@@ -2600,10 +2603,11 @@ pub fn e25_store() -> String {
          checksum (`write`), and booted back through the fully-validating \
          loader (`load`). Every loaded navigator hashes bit-identically to the \
          live one (`H_X match`), so the boot path serves the exact \
-         structure the builder produced.{headline} Snapshot bytes sit \
-         close to the flat live footprint — the format stores the same \
-         CSR arrays plus a fixed header/section-table overhead. \
-         {json_note}\n\n{table}\n",
+         structure the builder produced.{headline} `live B` is the \
+         heap the built navigator retains, measured by the `exp` \
+         binary's counting allocator: the tables the file stores plus \
+         what a load derives from them (the LCA and level-ancestor \
+         tables, leaf tables and spans). {json_note}\n\n{table}\n",
     )
 }
 

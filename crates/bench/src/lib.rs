@@ -56,14 +56,17 @@ pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
-/// Heap-allocation counting hook for the allocs-per-query columns of
-/// E22 and E24. The library installs no allocator; the `exp` binary
-/// wraps the system allocator and calls [`allocs::record`] on every
-/// allocation.
+/// Heap-allocation counting hooks: allocation events for the
+/// allocs-per-query columns of E22 and E24, and live bytes for E25's
+/// retained-heap column. The library installs no allocator; the `exp`
+/// binary wraps the system allocator, calls [`allocs::record`] on every
+/// allocation and [`allocs::resize`] on every size change. Without that
+/// allocator both read 0.
 pub mod allocs {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
     static COUNT: AtomicU64 = AtomicU64::new(0);
+    static LIVE: AtomicI64 = AtomicI64::new(0);
 
     /// Called by a wrapping global allocator on every `alloc`/`realloc`.
     #[inline]
@@ -71,9 +74,22 @@ pub mod allocs {
         COUNT.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Called by a wrapping global allocator with the change in live
+    /// bytes of every successful `alloc`, `dealloc` and `realloc`.
+    #[inline]
+    pub fn resize(delta: i64) {
+        LIVE.fetch_add(delta, Ordering::Relaxed);
+    }
+
     /// Total allocations recorded so far.
     #[inline]
     pub fn count() -> u64 {
         COUNT.load(Ordering::Relaxed)
+    }
+
+    /// Bytes currently live, as reported through [`resize`].
+    #[inline]
+    pub fn live() -> i64 {
+        LIVE.load(Ordering::Relaxed)
     }
 }

@@ -16,11 +16,11 @@ use std::fmt;
 
 use hopspan_metric::{path_weight, Metric};
 use hopspan_pipeline::BuildStats;
-use hopspan_tree_cover::{DominatingTree, RobustTreeCover};
+use hopspan_tree_cover::{DominatingTree, LeafTable, RobustTreeCover};
 use hopspan_tree_spanner::{TreeHopSpanner, TreeSpannerError};
 
 use crate::materialize::{pair_key, EdgeMerger};
-use crate::navigation::NavTree;
+use crate::navigation::{leaf_spanner, tree_vertex_path_into};
 use crate::NavigationError;
 
 /// An f-fault-tolerant `(1+O(ε))`-spanner with hop-diameter `k` for a
@@ -29,11 +29,13 @@ use crate::NavigationError;
 /// takes O(ζ'·k) time for ζ' distinct trees.
 ///
 /// Each tree keeps only what the query reads: its Theorem 1.1 tree
-/// spanner's navigation structure over its leaves, a `u32` point → leaf
-/// table, and the `R(v)` candidate sets as one `u32` CSR pair. The cover
-/// tree itself (its LCA table, child lists and descendant-leaf spans)
-/// and the tree spanner's edge list are dropped once the candidates and
-/// the biclique edges are derived from them.
+/// spanner's navigation structure over its leaves, the cover tree's
+/// `u32` point → leaf table (taken over by move), and the `R(v)`
+/// candidate sets as one `u32` CSR pair. The rest of the cover tree
+/// (its parents, child lists and descendant-leaf spans) and the tree
+/// spanner's edge list are dropped once the candidates and the
+/// biclique edges are derived from them. No tree distance is read, so
+/// no LCA table is ever built.
 ///
 /// # Examples
 ///
@@ -67,9 +69,8 @@ pub struct FaultTolerantSpanner {
 struct FtTree {
     /// Theorem 1.1 k-hop 1-spanner over the tree's leaves.
     spanner: TreeHopSpanner,
-    /// Point → its leaf vertex (`u32::MAX` if the tree does not cover
-    /// the point), one entry per metric point.
-    leaf_of: Vec<u32>,
+    /// Point → its leaf vertex, one entry per metric point.
+    leaf_of: LeafTable,
     /// `R(v)` for every tree vertex `v`.
     cand: CandidateSets,
 }
@@ -146,7 +147,7 @@ impl TreeOverlay {
     ///
     /// Propagates tree-spanner construction failures.
     pub fn new(dom: DominatingTree, k: usize, f: usize) -> Result<Self, TreeSpannerError> {
-        let NavTree { dom, spanner } = NavTree::new(dom, k)?;
+        let spanner = leaf_spanner(dom.tree(), k)?;
         let candidates = CandidateSets::new(&dom, f);
         let mut pairs = Vec::new();
         for &(a, b, _) in spanner.edges() {
@@ -170,15 +171,6 @@ impl TreeOverlay {
             pairs,
         })
     }
-
-    /// Point -> leaf vertex for the points `0..n`, `u32::MAX` where the
-    /// tree does not cover the point: all that tree selection reads of
-    /// the cover tree, so a consumer can keep it and drop [`Self::dom`].
-    pub fn leaf_table(&self, n: usize) -> Vec<u32> {
-        (0..n)
-            .map(|p| self.dom.leaf_of(p).map_or(u32::MAX, narrow))
-            .collect()
-    }
 }
 
 /// One tree's share of the build: the kept [`FtTree`] and its biclique
@@ -194,52 +186,27 @@ struct BuiltTree {
 }
 
 impl FtTree {
-    /// Builds the tree's overlay and keeps what the query reads; `dom`
-    /// and the spanner's edge list are dropped here.
-    fn build(
-        dom: DominatingTree,
-        n: usize,
-        f: usize,
-        k: usize,
-    ) -> Result<BuiltTree, TreeSpannerError> {
-        let overlay = TreeOverlay::new(dom, k, f)?;
-        let leaf_of = overlay.leaf_table(n);
+    /// Builds the tree's overlay and keeps what the query reads; the
+    /// rest of `dom` and the spanner's edge list are dropped here.
+    fn build(dom: DominatingTree, f: usize, k: usize) -> Result<BuiltTree, TreeSpannerError> {
         let TreeOverlay {
+            dom,
             mut spanner,
             candidates,
             instances,
             pairs,
-            ..
-        } = overlay;
+        } = TreeOverlay::new(dom, k, f)?;
         let spanner_edges = spanner.take_edges().len();
         Ok(BuiltTree {
             tree: FtTree {
                 spanner,
-                leaf_of,
+                leaf_of: dom.into_leaves(),
                 cand: candidates,
             },
             spanner_edges,
             instances,
             pairs,
         })
-    }
-
-    /// The k-hop tree-vertex path between the leaves of points `p` and
-    /// `q`, written into `out` (cleared first); returns whether the tree
-    /// covers both points.
-    fn tree_vertex_path_into(
-        &self,
-        p: usize,
-        q: usize,
-        out: &mut Vec<usize>,
-    ) -> Result<bool, TreeSpannerError> {
-        let (a, b) = (self.leaf_of[p], self.leaf_of[q]);
-        if a == u32::MAX || b == u32::MAX {
-            out.clear();
-            return Ok(false);
-        }
-        self.spanner.find_path_into(a as usize, b as usize, out)?;
-        Ok(true)
     }
 }
 
@@ -409,11 +376,11 @@ impl From<hopspan_pipeline::PipelineError> for FtError {
     }
 }
 
-/// Narrows a point id, a tree vertex id or a per-tree candidate offset
-/// to the flat `u32` layouts of [`FtTree`] and [`CandidateSets`].
+/// Narrows a point id or a per-tree candidate offset to the flat `u32`
+/// layout of [`CandidateSets`].
 fn narrow(x: usize) -> u32 {
-    // hopspan:allow(panic-in-lib) -- point ids, tree vertex ids and one tree's ≤ (f+1)·|T| candidates stay far below 2³² for any instance that fits in memory
-    u32::try_from(x).expect("FT tree table fits u32")
+    // hopspan:allow(panic-in-lib) -- point ids and one tree's ≤ (f+1)·|T| candidates stay far below 2³² for any instance that fits in memory
+    u32::try_from(x).expect("candidate table fits u32")
 }
 
 impl FaultTolerantSpanner {
@@ -473,7 +440,7 @@ impl FaultTolerantSpanner {
             hopspan_pipeline::try_parallel_map_owned(
                 workers,
                 cover.into_cover().into_trees(),
-                |_, dom| FtTree::build(dom, n, f, k),
+                |_, dom| FtTree::build(dom, f, k),
             )
             .map_err(NavigationError::Pipeline)?
             .into_iter()
@@ -682,8 +649,7 @@ impl FaultTolerantSpanner {
         let mut best: Option<f64> = None;
         let mut covered = false;
         for t in &self.trees {
-            if !t
-                .tree_vertex_path_into(u, v, scratch)
+            if !tree_vertex_path_into(&t.leaf_of, &t.spanner, u, v, scratch)
                 .map_err(FtError::Spanner)?
             {
                 continue;

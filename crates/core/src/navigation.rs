@@ -16,10 +16,11 @@ use std::fmt;
 use hopspan_metric::{path_weight, Graph, Metric};
 use hopspan_pipeline::BuildStats;
 use hopspan_tree_cover::{
-    CoverError, DominatingTree, RamseyTreeCover, RobustTreeCover, SeparatorTreeCover, TreeCover,
+    CoverError, DominatingTree, LeafTable, RamseyTreeCover, RobustTreeCover, SeparatorTreeCover,
+    TreeCover,
 };
 use hopspan_tree_spanner::{SpannerParts, TreeHopSpanner, TreeSpannerError};
-use hopspan_treealg::RootedTree;
+use hopspan_treealg::{Lca, RootedTree};
 use rand::Rng;
 
 use crate::materialize::{pair_key, EdgeMerger};
@@ -115,79 +116,79 @@ impl From<TreeSpannerError> for NavigationError {
     }
 }
 
-/// One cover tree with its Theorem 1.1 navigation structure.
+/// One cover tree with its Theorem 1.1 navigation structure and the
+/// LCA table tree selection reads: the only LCA kept per cover tree.
 #[derive(Debug)]
 pub(crate) struct NavTree {
     /// The dominating tree (cover tree plus point mapping).
-    pub dom: DominatingTree,
+    dom: DominatingTree,
     /// Theorem 1.1 k-hop 1-spanner over the tree's required vertices.
-    pub spanner: TreeHopSpanner,
+    spanner: TreeHopSpanner,
+    /// O(1) LCA over `dom`'s tree, for [`NavTree::distance`].
+    lca: Lca,
+}
+
+/// The Theorem 1.1 k-hop 1-spanner over the leaves of `tree`.
+pub(crate) fn leaf_spanner(
+    tree: &RootedTree,
+    k: usize,
+) -> Result<TreeHopSpanner, TreeSpannerError> {
+    let required: Vec<bool> = (0..tree.len()).map(|v| tree.child_count(v) == 0).collect();
+    TreeHopSpanner::with_required(tree, &required, k)
+}
+
+/// The k-hop tree-vertex path of `spanner` between the leaves of points
+/// `p` and `q`, written into `out` (cleared first); returns whether
+/// `leaves` covers both points. Spanner-level failures (a corrupted
+/// navigation structure) are propagated instead of panicking.
+pub(crate) fn tree_vertex_path_into(
+    leaves: &LeafTable,
+    spanner: &TreeHopSpanner,
+    p: usize,
+    q: usize,
+    out: &mut Vec<usize>,
+) -> Result<bool, TreeSpannerError> {
+    let Some((a, b)) = leaves.pair(p, q) else {
+        out.clear();
+        return Ok(false);
+    };
+    spanner.find_path_into(a, b, out)?;
+    Ok(true)
 }
 
 impl NavTree {
-    pub(crate) fn new(dom: DominatingTree, k: usize) -> Result<Self, TreeSpannerError> {
-        let tree = dom.tree();
-        let required: Vec<bool> = (0..tree.len()).map(|v| tree.child_count(v) == 0).collect();
-        let spanner = TreeHopSpanner::with_required(tree, &required, k)?;
-        Ok(NavTree { dom, spanner })
+    fn new(dom: DominatingTree, k: usize) -> Result<Self, TreeSpannerError> {
+        let spanner = leaf_spanner(dom.tree(), k)?;
+        Ok(Self::with_spanner(dom, spanner))
     }
 
-    /// The k-hop tree-vertex path between the leaves of two points,
-    /// written into `out` (cleared first); returns whether the tree
-    /// contains both points. Spanner-level failures (a corrupted
-    /// navigation structure) are propagated instead of panicking.
-    pub(crate) fn tree_vertex_path_into(
-        &self,
-        p: usize,
-        q: usize,
-        out: &mut Vec<usize>,
-    ) -> Result<bool, TreeSpannerError> {
-        let (Some(a), Some(b)) = (self.dom.leaf_of(p), self.dom.leaf_of(q)) else {
-            out.clear();
-            return Ok(false);
-        };
-        self.spanner.find_path_into(a, b, out)?;
-        Ok(true)
-    }
-}
-
-/// Per-tree point-membership bitmask: one bit per point, set when the
-/// tree has a leaf for that point. Lets tree selection skip a
-/// non-covering tree on one word load instead of two `leaf_of` probes.
-#[derive(Debug)]
-struct Membership {
-    words: Vec<u64>,
-}
-
-impl Membership {
-    fn build(dom: &DominatingTree, n: usize) -> Self {
-        let mut words = vec![0u64; n.div_ceil(64)];
-        for p in 0..n {
-            if dom.leaf_of(p).is_some() {
-                words[p / 64] |= 1u64 << (p % 64);
-            }
-        }
-        Membership { words }
+    fn with_spanner(dom: DominatingTree, spanner: TreeHopSpanner) -> Self {
+        let lca = Lca::new(dom.tree());
+        NavTree { dom, spanner, lca }
     }
 
-    /// Whether the tree contains both points (single fused test when the
-    /// two points share a word).
+    /// Tree distance between the leaves of `p` and `q` in O(1), or
+    /// `None` if the tree does not cover both.
     #[inline]
-    fn contains_pair(&self, u: usize, v: usize) -> bool {
-        let (wu, bu) = (u / 64, u % 64);
-        let (wv, bv) = (v / 64, v % 64);
-        if wu == wv {
-            let need = (1u64 << bu) | (1u64 << bv);
-            self.words[wu] & need == need
-        } else {
-            self.words[wu] >> bu & 1 == 1 && self.words[wv] >> bv & 1 == 1
+    fn distance(&self, p: usize, q: usize) -> Option<f64> {
+        let (a, b) = self.dom.leaves().pair(p, q)?;
+        Some(self.dom.tree().distance_with(&self.lca, a, b))
+    }
+
+    /// Point-membership bitmask words: one bit per point, set when the
+    /// tree has a leaf for it. Only the snapshot layout stores these.
+    fn membership_words(&self, n: usize) -> Vec<u64> {
+        let mut words = vec![0u64; n.div_ceil(64)];
+        for p in (0..n).filter(|&p| self.dom.leaf_of(p).is_some()) {
+            words[p / 64] |= 1u64 << (p % 64);
         }
+        words
     }
 }
 
 /// Flat serialization parts of one cover tree with its spanner: the
 /// dominating tree as parent pointers plus the spanner's own parts.
-/// Derived structures (LCA, leaf spans, membership) are rebuilt on load.
+/// Derived structures (LCA, leaf table, leaf spans) are rebuilt on load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NavTreeParts {
     /// Root vertex of the dominating tree.
@@ -219,7 +220,9 @@ pub struct MetricNavigatorParts {
     pub home: Option<Vec<usize>>,
     /// One entry per cover tree.
     pub trees: Vec<NavTreeParts>,
-    /// Per-tree point-membership bitmask words, parallel to `trees`.
+    /// Per-tree point-membership bitmask words, parallel to `trees`,
+    /// derived from the leaf tables; a load checks them against the
+    /// rebuilt trees.
     pub masks: Vec<Vec<u64>>,
 }
 
@@ -228,8 +231,6 @@ pub struct MetricNavigatorParts {
 #[derive(Debug)]
 pub struct MetricNavigator {
     trees: Vec<NavTree>,
-    /// Point-membership bitmask per tree, parallel to `trees`.
-    masks: Vec<Membership>,
     /// Ramsey home tree per point, when available.
     home: Option<Vec<usize>>,
     k: usize,
@@ -411,11 +412,9 @@ impl MetricNavigator {
         });
         stats.edge_instances = instances;
         stats.edges_after_dedup = edges.len();
-        let masks = trees.iter().map(|t| Membership::build(&t.dom, n)).collect();
         Ok((
             MetricNavigator {
                 trees,
-                masks,
                 home,
                 k,
                 n,
@@ -450,7 +449,11 @@ impl MetricNavigator {
                     }
                 })
                 .collect(),
-            masks: self.masks.iter().map(|m| m.words.clone()).collect(),
+            masks: self
+                .trees
+                .iter()
+                .map(|t| t.membership_words(self.n))
+                .collect(),
         }
     }
 
@@ -495,11 +498,10 @@ impl MetricNavigator {
                     ));
                 }
             }
-            trees.push(NavTree { dom, spanner });
+            trees.push(NavTree::with_spanner(dom, spanner));
         }
-        let masks: Vec<Membership> = trees.iter().map(|t| Membership::build(&t.dom, n)).collect();
-        for (rebuilt, stored) in masks.iter().zip(&parts.masks) {
-            if rebuilt.words != *stored {
+        for (t, stored) in trees.iter().zip(&parts.masks) {
+            if t.membership_words(n) != *stored {
                 return Err(corrupt("membership mask does not match its tree"));
             }
         }
@@ -529,7 +531,6 @@ impl MetricNavigator {
         }
         Ok(MetricNavigator {
             trees,
-            masks,
             home: parts.home,
             k: parts.k,
             n,
@@ -584,14 +585,11 @@ impl MetricNavigator {
     pub fn select_tree(&self, u: usize, v: usize) -> Option<(usize, f64)> {
         if let Some(home) = &self.home {
             let t = home[u];
-            return self.trees[t].dom.distance(u, v).map(|d| (t, d));
+            return self.trees[t].distance(u, v).map(|d| (t, d));
         }
         let mut best: Option<(usize, f64)> = None;
         for (i, t) in self.trees.iter().enumerate() {
-            if !self.masks[i].contains_pair(u, v) {
-                continue;
-            }
-            if let Some(d) = t.dom.distance(u, v) {
+            if let Some(d) = t.distance(u, v) {
                 if best.is_none_or(|(_, bd)| d < bd) {
                     best = Some((i, d));
                 }
@@ -602,12 +600,13 @@ impl MetricNavigator {
 
     /// Like [`MetricNavigator::select_tree`], but skips computing the
     /// tree distance on the O(1) home-tree arm — the arm `find_path`
-    /// takes, where the distance would be discarded. The scan arm must
-    /// still rank trees by distance to pick the same tree.
+    /// takes, where the distance would be discarded and the leaf probe
+    /// of [`tree_vertex_path_into`] reports a non-covering home tree.
+    /// The scan arm must still rank trees by distance to pick the same
+    /// tree.
     fn select_tree_index(&self, u: usize, v: usize) -> Option<usize> {
         if let Some(home) = &self.home {
-            let t = home[u];
-            return self.masks[t].contains_pair(u, v).then_some(t);
+            return Some(home[u]);
         }
         self.select_tree(u, v).map(|(t, _)| t)
     }
@@ -668,7 +667,7 @@ impl MetricNavigator {
             .select_tree_index(u, v)
             .ok_or(NavigationError::PairNotCovered { u, v })?;
         let t = &self.trees[ti];
-        if !t.tree_vertex_path_into(u, v, out)? {
+        if !tree_vertex_path_into(t.dom.leaves(), &t.spanner, u, v, out)? {
             return Err(NavigationError::PairNotCovered { u, v });
         }
         // Map tree vertices to their points in place, then compress the

@@ -6,15 +6,15 @@
 //! (one Theorem 1.1 spanner per cover tree) that is embarrassingly
 //! parallel. This crate centralizes that fan-out:
 //!
-//! * [`parallel_map`] / [`parallel_map_owned`] — order-preserving maps
-//!   over a work list on `std::thread::scope` workers. Slot `i` of the
-//!   output always holds `f(i, items[i])`, so downstream merges (edge
-//!   dedup, overlay assembly) see the same sequence regardless of worker
-//!   count — parallel builds are bit-identical to sequential ones.
-//! * [`try_parallel_map`] / [`try_parallel_map_owned`] — panic-contained
-//!   variants: every work unit runs under `catch_unwind`, a panicking
-//!   unit is retried once on the calling thread (deterministically, in
-//!   unit order), and a persistent failure surfaces as a structured
+//! * [`try_parallel_map`] / [`try_parallel_map_owned`] —
+//!   order-preserving maps over a work list on `std::thread::scope`
+//!   workers. Slot `i` of the output always holds `f(i, items[i])`, so
+//!   downstream merges (edge dedup, overlay assembly) see the same
+//!   sequence regardless of worker count — parallel builds are
+//!   bit-identical to sequential ones. Every work unit runs under
+//!   `catch_unwind`, a panicking unit is retried once on the calling
+//!   thread (deterministically, in unit order; borrowed items only),
+//!   and a persistent failure surfaces as a structured
 //!   [`PipelineError`] naming the failing unit instead of unwinding
 //!   through `thread::scope` and aborting the build.
 //! * [`resolve_workers`] / [`auto_workers`] — worker-count selection:
@@ -129,26 +129,12 @@ pub fn resolve_workers(requested: Option<usize>) -> usize {
 /// completion order. With `workers <= 1` or fewer than two items the map
 /// runs inline on the calling thread — the results are identical either
 /// way, only the wall time differs.
-pub fn parallel_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    match try_parallel_map(workers, items, f) {
-        Ok(out) => out,
-        // hopspan:allow(panic-in-lib) -- legacy untyped API: re-raise the contained worker panic for callers that did not opt into PipelineError
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Panic-contained [`parallel_map`]: every work unit runs under
-/// `catch_unwind`. A unit that panics on a worker thread is retried
-/// exactly once on the calling thread after all workers have joined;
-/// retries run in ascending unit order, so the first persistently
-/// failing unit is the one reported and the outcome is identical for
-/// every worker count. Successful results are returned in input order,
-/// exactly like [`parallel_map`].
+///
+/// Every work unit runs under `catch_unwind`. A unit that panics on a
+/// worker thread is retried exactly once on the calling thread after
+/// all workers have joined; retries run in ascending unit order, so the
+/// first persistently failing unit is the one reported and the outcome
+/// is identical for every worker count.
 ///
 /// # Errors
 ///
@@ -281,26 +267,13 @@ pub fn write_resilient<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Like [`parallel_map`] but consumes the items, for per-item work that
-/// needs ownership (e.g. `NavTree::new` swallowing its dominating tree).
-/// Order-preserving: `out[i] = f(i, items[i])`.
-pub fn parallel_map_owned<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    match try_parallel_map_owned(workers, items, f) {
-        Ok(out) => out,
-        // hopspan:allow(panic-in-lib) -- legacy untyped API: re-raise the contained worker panic for callers that did not opt into PipelineError
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Panic-contained [`parallel_map_owned`]. Unlike [`try_parallel_map`]
-/// there is no retry: the failed call consumed its item, so the unit is
-/// reported immediately (`retried = false`). With several failing units
-/// the lowest index is reported, for worker-count independence.
+/// Like [`try_parallel_map`] but consumes the items, for per-item work
+/// that needs ownership (e.g. `NavTree::new` swallowing its dominating
+/// tree). Order-preserving: `out[i] = f(i, items[i])`. Unlike
+/// [`try_parallel_map`] there is no retry: the failed call consumed its
+/// item, so the unit is reported immediately (`retried = false`). With
+/// several failing units the lowest index is reported, for worker-count
+/// independence.
 ///
 /// # Errors
 ///
@@ -567,10 +540,11 @@ mod tests {
     fn parallel_map_preserves_order() {
         let items: Vec<usize> = (0..100).collect();
         for workers in [1usize, 2, 4, 7] {
-            let out = parallel_map(workers, &items, |i, &x| {
+            let out = try_parallel_map(workers, &items, |i, &x| {
                 assert_eq!(i, x);
                 x * 3
-            });
+            })
+            .unwrap();
             assert_eq!(out, (0..100).map(|x| x * 3).collect::<Vec<_>>());
         }
     }
@@ -579,7 +553,8 @@ mod tests {
     fn parallel_map_owned_preserves_order() {
         let items: Vec<String> = (0..50).map(|i| i.to_string()).collect();
         for workers in [1usize, 3, 16] {
-            let out = parallel_map_owned(workers, items.clone(), |i, s| format!("{i}:{s}"));
+            let out =
+                try_parallel_map_owned(workers, items.clone(), |i, s| format!("{i}:{s}")).unwrap();
             assert_eq!(out, (0..50).map(|i| format!("{i}:{i}")).collect::<Vec<_>>());
         }
     }
@@ -595,8 +570,8 @@ mod tests {
             }
             (x * x, acc)
         };
-        let seq = parallel_map(1, &items, slow_square);
-        let par = parallel_map(8, &items, slow_square);
+        let seq = try_parallel_map(1, &items, slow_square).unwrap();
+        let par = try_parallel_map(8, &items, slow_square).unwrap();
         assert_eq!(seq, par);
     }
 
@@ -672,24 +647,6 @@ mod tests {
             assert!(!err.retried);
             assert!(err.message.contains("tree 5"));
         }
-    }
-
-    #[test]
-    fn legacy_api_still_panics_with_the_structured_message() {
-        let items: Vec<usize> = (0..8).collect();
-        let payload = quiet_panics(|| {
-            std::panic::catch_unwind(AssertUnwindSafe(|| {
-                parallel_map(4, &items, |i, &x| {
-                    if i == 3 {
-                        panic!("boom");
-                    }
-                    x
-                })
-            }))
-        })
-        .expect_err("legacy API re-raises");
-        let msg = panic_message(payload.as_ref());
-        assert!(msg.contains("work unit 3"), "got: {msg}");
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl FtMetricRoutingScheme {
         // Order trees by decoded tree distance.
         order.clear();
         for (i, t) in rs.trees.iter().enumerate() {
-            let (Some(lu), Some(lv)) = (t.leaf_of(u), t.leaf_of(v)) else {
+            let Some((lu, lv)) = t.leaf_of.pair(u, v) else {
                 continue;
             };
             order.push((i, t.labeling.distance(lu, lv)));

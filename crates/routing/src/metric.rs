@@ -17,7 +17,9 @@ use std::collections::HashSet;
 use hopspan_core::{EdgeMerger, TreeOverlay};
 use hopspan_metric::{path_weight, Graph, Metric};
 use hopspan_pipeline::BuildStats;
-use hopspan_tree_cover::{DominatingTree, RamseyTreeCover, RobustTreeCover, SeparatorTreeCover};
+use hopspan_tree_cover::{
+    DominatingTree, LeafTable, RamseyTreeCover, RobustTreeCover, SeparatorTreeCover,
+};
 use hopspan_treealg::DistanceLabeling;
 use rand::Rng;
 
@@ -26,26 +28,13 @@ use crate::scheme::{route_on_tree_into, PerTreeScheme, RoutingError, SchemeStats
 use crate::NavBuildError;
 
 /// One tree of the cover with its routing structures. Of the cover
-/// tree itself it keeps only each point's leaf, which tree selection
-/// and the bit accounting read.
+/// tree itself it keeps only its point → leaf table (taken over by
+/// move), which tree selection and the bit accounting read.
 #[derive(Debug)]
 pub(crate) struct TreeUnit {
-    /// Point -> its leaf vertex, `u32::MAX` when the tree does not
-    /// cover the point.
-    leaf_of: Vec<u32>,
+    pub(crate) leaf_of: LeafTable,
     pub(crate) scheme: PerTreeScheme,
     pub(crate) labeling: DistanceLabeling,
-}
-
-impl TreeUnit {
-    /// The leaf vertex of point `p`, if this tree covers `p`.
-    #[inline]
-    pub(crate) fn leaf_of(&self, p: usize) -> Option<usize> {
-        match self.leaf_of.get(p) {
-            Some(&l) if l != u32::MAX => Some(l as usize),
-            _ => None,
-        }
-    }
 }
 
 /// A 2-hop routing scheme for a metric space (Theorem 1.3).
@@ -231,7 +220,7 @@ impl MetricRoutingScheme {
                     n,
                 ),
                 labeling: DistanceLabeling::new(t.dom.tree()),
-                leaf_of: t.leaf_table(n),
+                leaf_of: t.dom.into_leaves(),
             })
             .collect();
         let header_bits = Header::PortHint(0).bits(net.id_bits(), net.port_bits());
@@ -279,7 +268,7 @@ impl MetricRoutingScheme {
                 for t in &self.trees {
                     label += t.scheme.label_bits(p, id_bits, port_bits);
                     table += t.scheme.table_bits(p, id_bits, port_bits);
-                    if let Some(leaf) = t.leaf_of(p) {
+                    if let Some(leaf) = t.leaf_of.get(p) {
                         // The distance label rides along in both (paper
                         // §5.1.2: "each node stores ζ distance labels,
                         // one per tree, both as part of its routing
@@ -311,7 +300,7 @@ impl MetricRoutingScheme {
         }
         let mut best: Option<(usize, f64)> = None;
         for (i, t) in self.trees.iter().enumerate() {
-            let (Some(lu), Some(lv)) = (t.leaf_of(u), t.leaf_of(v)) else {
+            let Some((lu, lv)) = t.leaf_of.pair(u, v) else {
                 continue;
             };
             let d = t.labeling.distance(lu, lv);

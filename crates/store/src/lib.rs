@@ -57,7 +57,7 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
 
-use hopspan_core::{MetricNavigator, MetricNavigatorParts, NavigationError, NavigatorParts};
+use hopspan_core::{MetricNavigator, MetricNavigatorParts, NavigationError};
 use hopspan_metric::{EuclideanSpace, Metric};
 use hopspan_tree_cover::CoverError;
 use hopspan_tree_spanner::TreeSpannerError;
@@ -582,55 +582,4 @@ pub fn hx_hash(nav: &MetricNavigator) -> u64 {
         w.put_f64(wt);
     }
     fnv1a(w.as_slice())
-}
-
-fn tree_live_bytes(parent_len: usize) -> u64 {
-    // parent (Option<usize>) + weight (f64) vectors.
-    (parent_len * (std::mem::size_of::<Option<usize>>() + 8)) as u64
-}
-
-fn nav_live_bytes(nav: &NavigatorParts) -> u64 {
-    let mut total = tree_live_bytes(nav.phi.parent.len()) + (nav.comp_of_node.len() * 8) as u64;
-    for node in &nav.nodes {
-        total += (node.inner.len() * 8) as u64;
-        if let Some(b) = &node.base {
-            total += (b.offsets.len() * 4 + b.verts.len() * 8) as u64;
-        }
-        if let Some(c) = &node.contracted {
-            total += tree_live_bytes(c.tree.parent.len())
-                + (c.cut_orig.len() * 8) as u64
-                + (c.cut_sub_home.len() * 12) as u64;
-        }
-        if let Some(s) = &node.sub {
-            total += nav_live_bytes(s);
-        }
-    }
-    total
-}
-
-/// Approximate in-memory footprint of the dense tables the snapshot
-/// persists (vector payloads only, derived LCA / level-ancestor
-/// structures excluded). E25 reports snapshot size against this.
-#[must_use]
-pub fn flat_live_bytes(parts: &MetricNavigatorParts) -> u64 {
-    let mut total = (parts.edges.len() * 24) as u64;
-    if let Some(home) = &parts.home {
-        total += (home.len() * 8) as u64;
-    }
-    for t in &parts.trees {
-        total += tree_live_bytes(t.parent.len()) + (t.point_of.len() * 8) as u64;
-        let sp = &t.spanner;
-        total += (sp.required.len().div_ceil(8)
-            + sp.edges.len() * 24
-            + sp.home_node.len() * 8
-            + sp.home_slot.len() * 4
-            + sp.base_off.len() * 4
-            + sp.base_nbr.len() * 16
-            + sp.base_member.len().div_ceil(8)) as u64;
-        total += nav_live_bytes(&sp.nav);
-    }
-    for mask in &parts.masks {
-        total += (mask.len() * 8) as u64;
-    }
-    total
 }

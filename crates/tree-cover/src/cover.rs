@@ -49,6 +49,9 @@ pub enum CoverError {
         /// Which invariant failed.
         what: &'static str,
     },
+    /// A parallel tree build panicked; the contained failure names the
+    /// work unit.
+    Pipeline(hopspan_pipeline::PipelineError),
 }
 
 impl fmt::Display for CoverError {
@@ -69,11 +72,51 @@ impl fmt::Display for CoverError {
                 )
             }
             CoverError::Corrupt { what } => write!(f, "corrupt cover structure: {what}"),
+            CoverError::Pipeline(e) => write!(f, "parallel tree build failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for CoverError {}
+impl std::error::Error for CoverError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CoverError::Pipeline(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+/// Point → leaf vertex table of one cover tree: one `u32` per metric
+/// point, with a sentinel where the tree does not cover the point.
+/// [`LeafTable::get`] is the one reader of that sentinel; the
+/// navigator, the fault-tolerant spanner and the routers all look
+/// leaves up through it.
+#[derive(Debug)]
+pub struct LeafTable {
+    leaf: Vec<u32>,
+}
+
+impl LeafTable {
+    /// Entry of a point the tree does not cover.
+    const NONE: u32 = u32::MAX;
+
+    /// The leaf vertex of point `p`, or `None` if the tree does not
+    /// cover `p` (or `p` is out of range).
+    #[inline]
+    pub fn get(&self, p: usize) -> Option<usize> {
+        match self.leaf.get(p) {
+            Some(&l) if l != Self::NONE => Some(l as usize),
+            _ => None,
+        }
+    }
+
+    /// The leaves of both `p` and `q`, or `None` unless the tree covers
+    /// both.
+    #[inline]
+    pub fn pair(&self, p: usize, q: usize) -> Option<(usize, usize)> {
+        Some((self.get(p)?, self.get(q)?))
+    }
+}
 
 /// A dominating tree for (a subset of) a metric space: an edge-weighted
 /// rooted tree whose vertices carry point ids, with one designated leaf
@@ -83,12 +126,17 @@ impl std::error::Error for CoverError {}
 /// Internal vertices carry an *associated point* (`point_of`) — for the
 /// robust covers of §4 this may be replaced by any descendant leaf's point
 /// without violating the cover's stretch.
+///
+/// It keeps the rooted tree, the vertex points, the [`LeafTable`] and
+/// the descendant-leaf spans, and no LCA table: most consumers never
+/// read a tree distance, so one that does (the navigator's tree
+/// selection, the measurement helpers below) builds its own
+/// [`Lca`] over [`DominatingTree::tree`].
 #[derive(Debug)]
 pub struct DominatingTree {
     tree: RootedTree,
-    lca: Lca,
     point_of: Vec<usize>,
-    leaf_of: Vec<Option<usize>>,
+    leaf_of: LeafTable,
     /// Descendant-leaf ranges: `leaf_order` lists leaf vertices in DFS
     /// order; `span[v]` is the half-open range of `leaf_order` under `v`.
     leaf_order: Vec<usize>,
@@ -114,8 +162,9 @@ impl DominatingTree {
     /// tree from untrusted (deserialized) data: the same derivation of
     /// leaf pointers and descendant-leaf spans, but every precondition
     /// violation — length mismatch, out-of-range point id (leaf *or*
-    /// internal), duplicate leaf point — is reported as
-    /// [`CoverError::Corrupt`] instead of a panic.
+    /// internal), duplicate leaf point, more vertices than a `u32` leaf
+    /// entry holds — is reported as [`CoverError::Corrupt`] instead of a
+    /// panic.
     ///
     /// # Errors
     ///
@@ -132,8 +181,10 @@ impl DominatingTree {
         if point_of.iter().any(|&p| p >= n_points) {
             return corrupt("tree vertex point id out of range");
         }
-        let lca = Lca::new(&tree);
-        let mut leaf_of = vec![None; n_points];
+        if tree.len() >= LeafTable::NONE as usize {
+            return corrupt("tree too large for u32 leaf entries");
+        }
+        let mut leaf = vec![LeafTable::NONE; n_points];
         // DFS to compute leaf spans.
         let n = tree.len();
         let mut leaf_order = Vec::new();
@@ -149,10 +200,10 @@ impl DominatingTree {
             let children = tree.children(v);
             if children.is_empty() {
                 let p = point_of[v];
-                if leaf_of[p].is_some() {
+                if leaf[p] != LeafTable::NONE {
                     return corrupt("point appears as two leaves");
                 }
-                leaf_of[p] = Some(v);
+                leaf[p] = v as u32;
                 leaf_order.push(v);
             } else {
                 for &c in children {
@@ -162,9 +213,8 @@ impl DominatingTree {
         }
         Ok(DominatingTree {
             tree,
-            lca,
             point_of,
-            leaf_of,
+            leaf_of: LeafTable { leaf },
             leaf_order,
             span,
         })
@@ -176,12 +226,6 @@ impl DominatingTree {
         &self.tree
     }
 
-    /// The LCA structure of the underlying tree.
-    #[inline]
-    pub fn lca(&self) -> &Lca {
-        &self.lca
-    }
-
     /// The point associated with tree vertex `v`.
     #[inline]
     pub fn point_of(&self, v: usize) -> usize {
@@ -191,7 +235,19 @@ impl DominatingTree {
     /// The leaf vertex of point `p`, if this tree covers `p`.
     #[inline]
     pub fn leaf_of(&self, p: usize) -> Option<usize> {
-        self.leaf_of.get(p).copied().flatten()
+        self.leaf_of.get(p)
+    }
+
+    /// The point → leaf table.
+    #[inline]
+    pub fn leaves(&self) -> &LeafTable {
+        &self.leaf_of
+    }
+
+    /// Consumes the tree and returns its point → leaf table, for a
+    /// consumer that keeps the table and drops the tree.
+    pub fn into_leaves(self) -> LeafTable {
+        self.leaf_of
     }
 
     /// Whether this tree covers point `p`.
@@ -205,16 +261,25 @@ impl DominatingTree {
         self.leaf_order.len()
     }
 
-    /// Tree distance between the leaves of points `p` and `q` in O(1), or
-    /// `None` if either is not covered.
+    /// Tree distance between the leaves of points `p` and `q` by an
+    /// O(depth) walk, or `None` if either is not covered. For one-off
+    /// pairs; a consumer asking many pairs builds an [`Lca`] once and
+    /// reads [`RootedTree::distance_with`].
     pub fn distance(&self, p: usize, q: usize) -> Option<f64> {
-        let (a, b) = (self.leaf_of(p)?, self.leaf_of(q)?);
-        Some(self.tree.distance_with(&self.lca, a, b))
+        let (a, b) = self.leaf_of.pair(p, q)?;
+        Some(self.tree.distance_slow(a, b))
+    }
+
+    /// Like [`DominatingTree::distance`], in O(1) through `lca`, an LCA
+    /// table built over this tree.
+    pub(crate) fn distance_with(&self, lca: &Lca, p: usize, q: usize) -> Option<f64> {
+        let (a, b) = self.leaf_of.pair(p, q)?;
+        Some(self.tree.distance_with(lca, a, b))
     }
 
     /// The tree path (vertex ids) between the leaves of `p` and `q`.
     pub fn tree_path(&self, p: usize, q: usize) -> Option<Vec<usize>> {
-        let (a, b) = (self.leaf_of(p)?, self.leaf_of(q)?);
+        let (a, b) = self.leaf_of.pair(p, q)?;
         Some(self.tree.vertex_path(a, b))
     }
 
@@ -289,14 +354,16 @@ impl DominatingTree {
                     return corrupt("leaf vertex span must be exactly itself");
                 }
                 let p = self.point_of[v];
-                if self.leaf_of.get(p).copied().flatten() != Some(v) {
+                if self.leaf_of.get(p) != Some(v) {
                     return corrupt("leaf vertex not registered under its point");
                 }
             }
         }
         let mut leaves = 0usize;
-        for (p, &lv) in self.leaf_of.iter().enumerate() {
-            let Some(v) = lv else { continue };
+        for p in 0..self.leaf_of.leaf.len() {
+            let Some(v) = self.leaf_of.get(p) else {
+                continue;
+            };
             leaves += 1;
             if v >= n || !self.tree.children(v).is_empty() {
                 return corrupt("leaf pointer at a non-leaf vertex");
@@ -350,11 +417,12 @@ impl DominatingTree {
     ///
     /// Returns the first violating pair.
     pub fn validate_dominating<M: Metric>(&self, metric: &M) -> Result<(), (usize, usize)> {
+        let lca = Lca::new(&self.tree);
         let pts: Vec<usize> = (0..metric.len()).filter(|&p| self.contains(p)).collect();
         for (ii, &p) in pts.iter().enumerate() {
             for &q in &pts[ii + 1..] {
                 // hopspan:allow(panic-in-lib) -- pts was filtered through self.contains above
-                let dt = self.distance(p, q).expect("both covered");
+                let dt = self.distance_with(&lca, p, q).expect("both covered");
                 if dt < metric.dist(p, q) * (1.0 - 1e-9) {
                     return Err((p, q));
                 }
@@ -395,7 +463,8 @@ impl TreeCover {
     }
 
     /// The tree minimizing the tree distance between `p` and `q`, with
-    /// that distance. O(ζ) per query (Theorem 1.2's selection step).
+    /// that distance: the first strict minimum, over O(depth) walks
+    /// (Theorem 1.2's selection step, for one pair).
     pub fn best_tree(&self, p: usize, q: usize) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for (i, t) in self.trees.iter().enumerate() {
@@ -410,20 +479,28 @@ impl TreeCover {
 
     /// Maximum, over all pairs of `metric`, of
     /// `min_T δ_T(p, q) / δ_X(p, q)` — the realized cover stretch
-    /// (O(ζ·n²); for tests and experiments).
+    /// (O(ζ·n²); for tests and experiments). Tree by tree, with one
+    /// temporary LCA table at a time and the least distance so far per
+    /// pair.
     pub fn measured_stretch<M: Metric>(&self, metric: &M) -> f64 {
         let n = metric.len();
+        let mut best = vec![f64::INFINITY; n * n];
+        for t in &self.trees {
+            let lca = Lca::new(t.tree());
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    if let Some(d) = t.distance_with(&lca, p, q) {
+                        best[p * n + q] = best[p * n + q].min(d);
+                    }
+                }
+            }
+        }
         let mut worst: f64 = 1.0;
         for p in 0..n {
             for q in (p + 1)..n {
                 let d = metric.dist(p, q);
-                if d <= 0.0 {
-                    continue;
-                }
-                if let Some((_, td)) = self.best_tree(p, q) {
-                    worst = worst.max(td / d);
-                } else {
-                    return f64::INFINITY;
+                if d > 0.0 {
+                    worst = worst.max(best[p * n + q] / d);
                 }
             }
         }
@@ -441,6 +518,7 @@ impl TreeCover {
     /// experiments.
     pub fn adversarial_stretch<M: Metric>(&self, metric: &M) -> f64 {
         let n = metric.len();
+        let lcas: Vec<Lca> = self.trees.iter().map(|t| Lca::new(t.tree())).collect();
         let mut worst: f64 = 1.0;
         let mut order: Vec<(f64, usize)> = Vec::with_capacity(self.trees.len());
         for p in 0..n {
@@ -451,8 +529,8 @@ impl TreeCover {
                 }
                 order.clear();
                 order.extend(
-                    (self.trees.iter().enumerate())
-                        .filter_map(|(i, t)| Some((t.distance(p, q)?, i))),
+                    (self.trees.iter().zip(&lcas).enumerate())
+                        .filter_map(|(i, (t, lca))| Some((t.distance_with(lca, p, q)?, i))),
                 );
                 if order.is_empty() {
                     return f64::INFINITY;
@@ -828,7 +906,7 @@ mod tests {
         assert_eq!(what(t), "leaf vertex not registered under its point");
 
         let mut t = fresh();
-        t.leaf_of[1] = t.leaf_of[0];
+        t.leaf_of.leaf[1] = t.leaf_of.leaf[0];
         assert_eq!(what(t), "leaf vertex not registered under its point");
 
         let mut t = fresh();

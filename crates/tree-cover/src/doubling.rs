@@ -250,7 +250,8 @@ impl RobustTreeCover {
     /// # Errors
     ///
     /// Returns a [`CoverError`] for empty/duplicate inputs or `eps`
-    /// outside `(0, 1]`.
+    /// outside `(0, 1]`, and [`CoverError::Pipeline`] if a tree build
+    /// panics.
     pub fn new_with_stats<M: Metric + Sync>(
         metric: &M,
         eps: f64,
@@ -312,9 +313,10 @@ impl RobustTreeCover {
             .collect();
         let build = std::time::Instant::now();
         let trees: Vec<DominatingTree> =
-            hopspan_pipeline::parallel_map(workers, &jobs, |_, &(j, p)| {
+            hopspan_pipeline::try_parallel_map(workers, &jobs, |_, &(j, p)| {
                 Self::build_tree(metric, &nets, &pairing, &near, j, p, period)
-            });
+            })
+            .map_err(CoverError::Pipeline)?;
         // A paired tree may still repeat another tree exactly.
         let trees = TreeCover::new(trees).into_distinct_trees();
         stats.record_phase("trees", build.elapsed());

@@ -33,7 +33,7 @@ mod pairing;
 mod planar;
 mod ramsey;
 
-pub use cover::{substituted_path_weight, CoverError, DominatingTree, TreeCover};
+pub use cover::{substituted_path_weight, CoverError, DominatingTree, LeafTable, TreeCover};
 pub use doubling::RobustTreeCover;
 pub use nets::{NetHierarchy, NetLevel};
 pub use pairing::{PairSet, PairingCover};

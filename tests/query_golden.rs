@@ -10,7 +10,11 @@
 //! or deduplicates edges shows even where every answer is unchanged.
 //! A third test pins `TreeHopSpanner::to_parts()` itself, the exchange
 //! form the snapshot store persists, so a change to the in-memory
-//! layout of a tree spanner cannot change a snapshot byte.
+//! layout of a tree spanner cannot change a snapshot byte. A fourth
+//! pins a planar navigator's `select_tree`, `approx_distance` and
+//! `find_path` over all pairs: the separator cover is the one cover
+//! whose trees hold only some of the points, so it is the pin on tree
+//! selection over partial trees.
 //!
 //! The constants below were computed against the pre-flattening
 //! implementation (BTreeMap-backed `Navigator`, per-query base-case
@@ -35,6 +39,7 @@ use hopspan::routing::{
     FtMetricRoutingScheme, MetricRoutingScheme, Network, RouteTrace, SchemeStats,
 };
 use hopspan::store::fnv1a;
+use hopspan::tree_cover::SeparatorTreeCover;
 use hopspan::tree_spanner::TreeHopSpanner;
 use hopspan::treealg::RootedTree;
 use rand::SeedableRng;
@@ -71,6 +76,11 @@ const GOLDEN_ROUTE_FT: u64 = 0xf577_580c_59e6_70a1;
 /// Hash of the `Debug` form of `TreeHopSpanner::to_parts()` over random
 /// trees, k = 2..=6, with and without Steiner vertices.
 const GOLDEN_SPANNER_PARTS: u64 = 0xbec0_5508_8caf_ef39;
+
+/// Hash of the planar navigator workload (separator cover over a grid:
+/// selected tree, its distance, the approximate distance and the path
+/// of every ordered pair).
+const GOLDEN_PLANAR_NAV: u64 = 0x4684_2ab9_f569_6d0f;
 
 fn push_path(out: &mut String, u: usize, v: usize, path: &[usize]) {
     out.push_str(&format!("{u} {v}:"));
@@ -261,6 +271,41 @@ fn hash_ft_workload() -> (u64, u64) {
     (fnv1a(out.as_bytes()), fnv1a(edges.as_bytes()))
 }
 
+/// Planar navigator workload: every ordered pair's selected tree with
+/// its distance bits, `approx_distance` bits and `find_path` path, over
+/// a separator cover with partial trees (asserted, so the pin keeps
+/// exercising selection over trees that miss points).
+fn hash_planar_nav_workload() -> u64 {
+    let g = gen::grid_graph(6, 6);
+    let m = GraphMetric::new(&g).expect("grid metric");
+    let n = 36;
+    let cover = SeparatorTreeCover::new(&g, 0.5).expect("separator cover builds");
+    assert!(
+        cover.cover().trees().iter().any(|t| t.point_count() < n),
+        "the separator cover must hold partial trees"
+    );
+    let nav = MetricNavigator::planar(&g, &m, 0.5, 2).expect("planar navigator builds");
+    let mut out = String::new();
+    for u in 0..n {
+        for v in 0..n {
+            let (t, d) = nav
+                .select_tree(u, v)
+                .expect("planar cover covers all pairs");
+            let est = nav
+                .approx_distance(u, v)
+                .expect("planar cover covers all pairs");
+            out.push_str(&format!(
+                "t{t} {:016x} {:016x} ",
+                d.to_bits(),
+                est.to_bits()
+            ));
+            let path = nav.find_path(u, v).expect("planar cover covers all pairs");
+            push_path(&mut out, u, v, &path);
+        }
+    }
+    fnv1a(out.as_bytes())
+}
+
 /// Every ordered pair's trace under `route`, after the scheme's
 /// statistics and port table.
 fn hash_routing(rs: &MetricRoutingScheme, n: usize) -> u64 {
@@ -420,5 +465,18 @@ fn spanner_parts_match_golden_hash() {
     assert_eq!(
         parts, GOLDEN_SPANNER_PARTS,
         "tree spanner parts drifted from the golden hash (got 0x{parts:016x})"
+    );
+}
+
+#[test]
+fn planar_navigator_queries_match_golden_hash() {
+    let got = hash_planar_nav_workload();
+    if std::env::var("HOPSPAN_GOLDEN_PRINT").is_ok() {
+        println!("const GOLDEN_PLANAR_NAV: u64 = 0x{got:016x};");
+        return;
+    }
+    assert_eq!(
+        got, GOLDEN_PLANAR_NAV,
+        "planar navigator answers drifted from the golden hash (got 0x{got:016x})"
     );
 }
